@@ -490,7 +490,8 @@ int main(int argc, char** argv) {
       // stretches the phase to minutes. 1-in-N still lands >1% of rounds
       // far past the p99 objective. All flags false: pure latency, no
       // injected checker fault.
-      active.set_fault_hook(
+      checker::CheckerHooks hooks = active.hooks();
+      hooks.fault_hook =
           [spin_ns, spin_stride, n = uint64_t{0}](StateArena&) mutable {
             if (++n % spin_stride == 0) {
               const auto spin_until = std::chrono::steady_clock::now() +
@@ -498,8 +499,9 @@ int main(int argc, char** argv) {
               while (std::chrono::steady_clock::now() < spin_until) {
               }
             }
-            return checker::EsChecker::InternalFault{};
-          });
+            return checker::InternalFault{};
+          };
+      active.attach(std::move(hooks));
     };
   }
 

@@ -176,11 +176,11 @@ EsChecker::EsChecker(const spec::EsCfg* cfg, Device* device,
     : cfg_(cfg),
       device_(device),
       config_(std::move(config)),
-      hooks_(std::move(hooks)),
       shadow_(&device->program().layout()) {
   SEDSPEC_REQUIRE(cfg != nullptr && device != nullptr);
   SEDSPEC_REQUIRE_MSG(cfg->device_name == device->program().device_name(),
                       "specification/device mismatch");
+  attach(std::move(hooks));
   shadow_.copy_from(device->state());
   latency_hist_ = &obs::metrics().histogram(
       "checker_check_latency_ns",
@@ -219,6 +219,45 @@ EsChecker::~EsChecker() = default;
 const std::string& EsChecker::metrics_label() const {
   return config_.metrics_label.empty() ? cfg_->device_name
                                        : config_.metrics_label;
+}
+
+void EsChecker::attach(CheckerHooks hooks) {
+  hooks_ = std::move(hooks);
+  if (hooks_.local_tracer == nullptr) {
+    return;
+  }
+  for (uint8_t id = 0; id < kEventIds; ++id) {
+    const EventDesc e = describe(static_cast<EventId>(id));
+    ring_keys_[id] =
+        hooks_.local_tracer->key(e.name, cfg_->device_name, e.detail);
+  }
+}
+
+EsChecker::EventDesc EsChecker::describe(EventId id) const {
+  switch (id) {
+    case kIoRead:
+      return {obs::EventType::kIoAccess, "io_read", {}};
+    case kIoWrite:
+      return {obs::EventType::kIoAccess, "io_write", {}};
+    case kSelfHeal:
+      return {obs::EventType::kSelfHeal, "self_heal", {}};
+    case kQuarantine:
+      return {obs::EventType::kQuarantine, "quarantine",
+              failure_policy_name(config_.failure_policy)};
+    default:
+      return {obs::EventType::kViolation, "violation",
+              strategy_name(static_cast<Strategy>(id - kViolation))};
+  }
+}
+
+void EsChecker::emit_event(EventId id, uint64_t a) {
+  const EventDesc e = describe(id);
+  if (obs::EventTracer* tr = obs::tracer()) {
+    tr->record(e.type, e.name, cfg_->device_name, e.detail, a);
+  }
+  if (hooks_.local_tracer != nullptr) {
+    hooks_.local_tracer->record(e.type, ring_keys_[id], a);
+  }
 }
 
 void EsChecker::emit_report(Report::Kind kind, Strategy strategy, SiteId site,
@@ -277,13 +316,7 @@ bool EsChecker::before_access(Device& device, const IoAccess& io) {
       ++stats_.self_heals;
       emit_report(Report::Kind::kSelfHeal, Strategy::kParameter,
                   sedspec::kInvalidSite);
-      if (obs::EventTracer* tr = obs::tracer()) {
-        tr->record(obs::EventType::kSelfHeal, "self_heal", cfg_->device_name);
-      }
-      if (hooks_.local_tracer != nullptr) {
-        hooks_.local_tracer->record(obs::EventType::kSelfHeal, "self_heal",
-                                    cfg_->device_name);
-      }
+      emit_event(kSelfHeal);
       // Fall through: this round is checked again.
     } else {
       ++degraded_rounds_since_heal_;
@@ -323,15 +356,7 @@ bool EsChecker::contain_fault(Device& device, const std::string& what,
     if (count_round) {
       ++stats_.blocked;
     }
-    if (obs::EventTracer* tr = obs::tracer()) {
-      tr->record(obs::EventType::kQuarantine, "quarantine", cfg_->device_name,
-                 failure_policy_name(config_.failure_policy));
-    }
-    if (hooks_.local_tracer != nullptr) {
-      hooks_.local_tracer->record(obs::EventType::kQuarantine, "quarantine",
-                                  cfg_->device_name,
-                                  failure_policy_name(config_.failure_policy));
-    }
+    emit_event(kQuarantine);
     device.reset();
     resync();
     if (checkpoint_ != nullptr) {
@@ -376,29 +401,16 @@ bool EsChecker::guarded_before_access(Device& device, const IoAccess& io) {
   // count identify what the guest was driving).
   if (hooks_.local_tracer != nullptr) {
     hooks_.local_tracer->record(obs::EventType::kIoAccess,
-                                io.is_write ? "io_write" : "io_read",
-                                cfg_->device_name, {}, io.addr, last_.steps);
-  }
-  for (const Violation& v : last_.violations) {
-    ++stats_.violations_by_strategy[static_cast<int>(v.strategy)];
+                                ring_keys_[io.is_write ? kIoWrite : kIoRead],
+                                io.addr, last_.steps);
   }
   if (!last_.violations.empty()) {
     violations_counter_->inc(last_.violations.size());
     for (const Violation& v : last_.violations) {
+      const auto s = static_cast<uint8_t>(v.strategy);
+      ++stats_.violations_by_strategy[s];
       emit_report(Report::Kind::kViolation, v.strategy, v.site);
-    }
-    if (obs::EventTracer* tr = obs::tracer()) {
-      for (const Violation& v : last_.violations) {
-        tr->record(obs::EventType::kViolation, "violation", cfg_->device_name,
-                   strategy_name(v.strategy), v.site);
-      }
-    }
-    if (hooks_.local_tracer != nullptr) {
-      for (const Violation& v : last_.violations) {
-        hooks_.local_tracer->record(obs::EventType::kViolation, "violation",
-                                    cfg_->device_name,
-                                    strategy_name(v.strategy), v.site);
-      }
+      emit_event(static_cast<EventId>(kViolation + s), v.site);
     }
   }
   if (last_.clean()) {

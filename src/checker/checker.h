@@ -45,6 +45,7 @@
 // this header is engine-agnostic.
 #pragma once
 
+#include <array>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -54,14 +55,11 @@
 #include <vector>
 
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "program/arena.h"
 #include "spec/es_cfg.h"
 #include "spec/spec_store.h"
 #include "vdev/bus.h"
-
-namespace sedspec::obs {
-class EventTracer;
-}  // namespace sedspec::obs
 
 namespace sedspec::checker {
 
@@ -304,9 +302,10 @@ using FaultHook = std::function<InternalFault(sedspec::StateArena& shadow)>;
 
 /// Everything a deployment attaches to a checker, in one struct: the report
 /// sink (+ producer shard id), the per-shard flight-recorder ring, and the
-/// fault-injection hook. Accepted at construction and via attach(); the
-/// legacy per-field setters delegate here. All pointers are borrowed and
-/// must outlive the checker; value-initialized CheckerHooks{} detaches
+/// fault-injection hook. Accepted at construction and via attach() — the
+/// only two ways hooks change, so the checker can resolve per-attachment
+/// state (the ring's event keys) exactly there. All pointers are borrowed
+/// and must outlive the checker; value-initialized CheckerHooks{} detaches
 /// everything.
 struct CheckerHooks {
   /// Violation/containment report destination (nullptr = detached). See
@@ -315,9 +314,10 @@ struct CheckerHooks {
   /// Producer shard id stamped into every emitted Report.
   uint32_t shard_id = 0;
   /// Per-shard flight-recorder ring (see obs/flight.h): when set, every
-  /// checked round records a fixed-cost kIoAccess event (a = address,
-  /// b = traversal steps) and violation/quarantine/self-heal events into
-  /// it, giving incident bundles the last-K-rounds context.
+  /// checked round records a kIoAccess event (a = address, b = traversal
+  /// steps) and violation/quarantine/self-heal events into it, giving
+  /// incident bundles the last-K-rounds context. The event keys are
+  /// interned at attach, so a round's record takes no lock.
   obs::EventTracer* local_tracer = nullptr;
   /// Consulted once per checked round (see InternalFault).
   FaultHook fault_hook;
@@ -385,36 +385,37 @@ class EsChecker final : public sedspec::IoProxy {
     return snapshot_;
   }
 
-  /// Replaces ALL attachments at once (the redesigned attachment API).
-  /// attach(CheckerHooks{}) detaches everything.
-  void attach(CheckerHooks hooks) { hooks_ = std::move(hooks); }
+  /// Replaces ALL attachments at once; attach(CheckerHooks{}) detaches
+  /// everything. To change one hook, copy hooks(), edit, and attach().
+  void attach(CheckerHooks hooks);
   [[nodiscard]] const CheckerHooks& hooks() const { return hooks_; }
-
-  // Legacy per-field setters: thin wrappers over attach()'s hooks struct,
-  // kept so call sites can migrate incrementally.
-  void set_report_sink(ReportSink* sink, uint32_t shard_id = 0) {
-    hooks_.report_sink = sink;
-    hooks_.shard_id = shard_id;
-  }
-  void set_local_tracer(obs::EventTracer* tracer) {
-    hooks_.local_tracer = tracer;
-  }
-  [[nodiscard]] obs::EventTracer* local_tracer() const {
-    return hooks_.local_tracer;
-  }
-  void set_fault_hook(FaultHook hook) {
-    hooks_.fault_hook = std::move(hook);
-  }
-
-  // Back-compat aliases (the fault seam predates namespace-scope hooks).
-  using InternalFault = checker::InternalFault;
-  using FaultHook = checker::FaultHook;
 
   /// Label used for the `device=` metric dimension (config override or the
   /// spec's device name).
   [[nodiscard]] const std::string& metrics_label() const;
 
  private:
+  /// Every event the checker emits; kViolation is followed by one slot per
+  /// Strategy. Indexes ring_keys_.
+  enum EventId : uint8_t {
+    kIoRead = 0,
+    kIoWrite,
+    kSelfHeal,
+    kQuarantine,
+    kViolation,
+    kEventIds = kViolation + 3,
+  };
+  struct EventDesc {
+    obs::EventType type;
+    std::string_view name;
+    std::string_view detail;
+  };
+  [[nodiscard]] EventDesc describe(EventId id) const;
+  /// Records event `id` into the global tracer (when installed) and the
+  /// local ring (when attached). Not for per-round kIoRead/kIoWrite, which
+  /// go to the local ring only.
+  void emit_event(EventId id, uint64_t a = 0);
+
   [[nodiscard]] bool strategy_enabled(Strategy s) const;
   void emit_report(Report::Kind kind, Strategy strategy, SiteId site,
                    uint64_t value = 0);
@@ -445,6 +446,8 @@ class EsChecker final : public sedspec::IoProxy {
   EngineKind engine_kind_ = EngineKind::kInterpreter;
   std::unique_ptr<engine::CheckEngine> engine_;
   std::unique_ptr<sedspec::StateArena> checkpoint_;  // rollback mode only
+  // hooks_.local_tracer's key per EventId, resolved by attach().
+  std::array<obs::EventKey, kEventIds> ring_keys_{};
 };
 
 }  // namespace sedspec::checker

@@ -40,7 +40,7 @@ class ReportQueue final : public ReportSink {
   /// with consumers.
   bool try_push(const Report& r);
 
-  /// ReportSink for EsChecker::set_report_sink.
+  /// ReportSink for CheckerHooks::report_sink.
   bool offer(const Report& r) override { return try_push(r); }
 
   /// Lock-free try-pop; false when empty.

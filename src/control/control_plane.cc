@@ -313,7 +313,7 @@ RolloutOutcome ControlPlane::run_rollout(
   persist(rec);
   log_info("control") << "rollout '" << device << "' promoted to v"
                       << active_->version_of(device);
-  return std::move(out);
+  return out;
 }
 
 ResumeResult ControlPlane::resume(std::span<const uint8_t> record_bytes) {

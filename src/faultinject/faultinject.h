@@ -19,7 +19,7 @@
 //                    (DmaEngine::set_fault_hook).
 //   Layer kChecker — checker-internal malfunction: forced traversal
 //                    exceptions, mid-round shadow-state corruption, and
-//                    suppressed termination logic (EsChecker::set_fault_hook).
+//                    suppressed termination logic (CheckerHooks::fault_hook).
 //
 // Everything is seed-driven: the same seed reproduces the same fault
 // sequence bit for bit.

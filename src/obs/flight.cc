@@ -75,17 +75,17 @@ bool FlightRecorder::dump(FlightTrigger trigger, size_t shard,
   b.shard = shard;
   b.epoch = epoch;
   b.reason = std::string(reason);
-  const std::vector<TraceEvent> events = ring.snapshot();
+  std::vector<EventTracer::Resolved> events = ring.snapshot_resolved();
   b.events.reserve(events.size());
-  for (const TraceEvent& ev : events) {
+  for (EventTracer::Resolved& r : events) {
     FlightBundle::Event e;
-    e.ts_ns = ev.ts_ns;
-    e.a = ev.a;
-    e.b = ev.b;
-    e.type = event_type_name(ev.type);
-    e.name = ring.string_at(ev.name);
-    e.cat = ring.string_at(ev.cat);
-    e.detail = ring.string_at(ev.detail);
+    e.ts_ns = r.ev.ts_ns;
+    e.a = r.ev.a;
+    e.b = r.ev.b;
+    e.type = event_type_name(r.ev.type);
+    e.name = std::move(r.name);
+    e.cat = std::move(r.cat);
+    e.detail = std::move(r.detail);
     b.events.push_back(std::move(e));
   }
   b.metrics_json = metrics().to_json();

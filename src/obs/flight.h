@@ -12,9 +12,12 @@
 // of history that preceded it, answering "what was the checker doing just
 // before this?" without a verbose global trace.
 //
-// Cost model: recording into a shard ring is the same fixed-size atomic
-// write as the global tracer (no allocation); dump() is the only expensive
-// path and runs off the check path (report consumer / collector thread).
+// Cost model: a checker resolves its ring's EventKeys once when it attaches,
+// so recording a round is one keyed EventTracer::record — a clock read and
+// a relaxed slot write, with no intern lock, no hash lookup and no
+// allocation. dump() is the only expensive path; it resolves the ring's
+// strings under one lock and runs wherever reports are drained (the
+// service's consumer thread, or the guest thread of a single-VM harness).
 // Bundles are bounded (max_bundles, oldest evicted) and per-(shard,
 // trigger) dumps are deduplicated within an epoch (the collector bumps the
 // epoch each window) so a violation storm produces one bundle per window,
@@ -85,8 +88,8 @@ class FlightRecorder {
   explicit FlightRecorder(size_t shards, FlightConfig cfg = {});
 
   [[nodiscard]] size_t shards() const { return rings_.size(); }
-  /// The ring shard `i`'s checker should record into (attach via
-  /// EsChecker::set_local_tracer). Stable for the recorder's lifetime.
+  /// The ring shard `i`'s checker should record into (attach as
+  /// CheckerHooks::local_tracer). Stable for the recorder's lifetime.
   [[nodiscard]] EventTracer& shard_ring(size_t i) { return *rings_[i]; }
 
   /// Provides the "current window" context embedded in bundles. Called

@@ -1,6 +1,7 @@
 #include "obs/trace.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <sstream>
 
@@ -65,8 +66,9 @@ TraceEvent EventTracer::AtomicSlot::load() const {
 
 EventTracer::EventTracer(size_t capacity) {
   SEDSPEC_REQUIRE(capacity > 0);
-  ring_ = std::make_unique<AtomicSlot[]>(capacity);
-  capacity_ = capacity;
+  capacity_ = std::bit_ceil(capacity);
+  mask_ = capacity_ - 1;
+  ring_ = std::make_unique<AtomicSlot[]>(capacity_);
   // Id 0 is the empty string so zero-initialized fields render as "".
   strings_.emplace_back("");
   ids_.emplace("", 0);
@@ -74,14 +76,18 @@ EventTracer::EventTracer(size_t capacity) {
 
 uint32_t EventTracer::intern(std::string_view s) {
   std::lock_guard lock(intern_mu_);
-  auto it = ids_.find(std::string(s));
+  return intern_locked(s);
+}
+
+uint32_t EventTracer::intern_locked(std::string_view s) {
+  auto it = ids_.find(s);
   if (it != ids_.end()) {
     return it->second;
   }
   if (strings_.size() >= kMaxStrings) {
     // Bounded table: collapse the overflow into one sentinel entry.
     static constexpr std::string_view kOverflow = "<interned-overflow>";
-    auto of = ids_.find(std::string(kOverflow));
+    auto of = ids_.find(kOverflow);
     if (of != ids_.end()) {
       return of->second;
     }
@@ -99,20 +105,40 @@ std::string EventTracer::string_at(uint32_t id) const {
   return strings_[id];
 }
 
-void EventTracer::record(EventType type, std::string_view name,
-                         std::string_view cat, std::string_view detail,
-                         uint64_t a, uint64_t b, uint64_t dur_ns) {
+size_t EventTracer::interned() const {
+  std::lock_guard lock(intern_mu_);
+  return strings_.size();
+}
+
+EventKey EventTracer::key(std::string_view name, std::string_view cat,
+                          std::string_view detail) {
+  std::lock_guard lock(intern_mu_);
+  EventKey k;
+  k.name = intern_locked(name);
+  k.cat = intern_locked(cat);
+  k.detail = detail.empty() ? 0 : intern_locked(detail);
+  return k;
+}
+
+void EventTracer::record(EventType type, EventKey k, uint64_t a, uint64_t b,
+                         uint64_t dur_ns) {
   TraceEvent ev;
   ev.ts_ns = now_ns();
   ev.dur_ns = dur_ns;
   ev.a = a;
   ev.b = b;
-  ev.name = intern(name);
-  ev.cat = intern(cat);
-  ev.detail = detail.empty() ? 0 : intern(detail);
+  ev.name = k.name;
+  ev.cat = k.cat;
+  ev.detail = k.detail;
   ev.type = type;
   const uint64_t slot = head_.fetch_add(1, std::memory_order_relaxed);
-  ring_[slot % capacity_].store(ev);
+  ring_[slot & mask_].store(ev);
+}
+
+void EventTracer::record(EventType type, std::string_view name,
+                         std::string_view cat, std::string_view detail,
+                         uint64_t a, uint64_t b, uint64_t dur_ns) {
+  record(type, key(name, cat, detail), a, b, dur_ns);
 }
 
 void EventTracer::begin_phase(std::string_view name, std::string_view cat) {
@@ -138,7 +164,21 @@ std::vector<TraceEvent> EventTracer::snapshot() const {
   std::vector<TraceEvent> out;
   out.reserve(count);
   for (uint64_t i = head - count; i < head; ++i) {
-    out.push_back(ring_[i % capacity_].load());
+    out.push_back(ring_[i & mask_].load());
+  }
+  return out;
+}
+
+std::vector<EventTracer::Resolved> EventTracer::snapshot_resolved() const {
+  const std::vector<TraceEvent> events = snapshot();
+  std::vector<Resolved> out;
+  out.reserve(events.size());
+  std::lock_guard lock(intern_mu_);
+  for (const TraceEvent& ev : events) {
+    SEDSPEC_REQUIRE(ev.name < strings_.size() && ev.cat < strings_.size() &&
+                    ev.detail < strings_.size());
+    out.push_back({ev, strings_[ev.name], strings_[ev.cat],
+                   strings_[ev.detail]});
   }
   return out;
 }
@@ -146,16 +186,12 @@ std::vector<TraceEvent> EventTracer::snapshot() const {
 void EventTracer::clear() { head_.store(0, std::memory_order_relaxed); }
 
 std::string EventTracer::to_chrome_json() const {
-  const std::vector<TraceEvent> events = snapshot();
+  const std::vector<Resolved> events = snapshot_resolved();
   std::ostringstream out;
   out << "{\"traceEvents\":[";
   bool first = true;
-  std::lock_guard lock(intern_mu_);
-  auto str = [&](uint32_t id) -> const std::string& {
-    SEDSPEC_REQUIRE(id < strings_.size());
-    return strings_[id];
-  };
-  for (const TraceEvent& ev : events) {
+  for (const Resolved& r : events) {
+    const TraceEvent& ev = r.ev;
     char ph = 'i';
     if (ev.type == EventType::kPhaseBegin) {
       ph = 'B';
@@ -179,15 +215,15 @@ std::string EventTracer::to_chrome_json() const {
     } else if (ph == 'i') {
       out << ",\"s\":\"p\"";
     }
-    out << ",\"name\":\"" << json_escape(str(ev.name)) << '"';
-    out << ",\"cat\":\"" << json_escape(str(ev.cat)) << '"';
+    out << ",\"name\":\"" << json_escape(r.name) << '"';
+    out << ",\"cat\":\"" << json_escape(r.cat) << '"';
     // End markers carry no args in the trace-event format.
     if (ev.type != EventType::kPhaseEnd) {
       out << ",\"args\":{\"type\":\"" << event_type_name(ev.type) << '"';
       if (ev.detail != 0) {
         const char* key =
             ev.type == EventType::kViolation ? "strategy" : "detail";
-        out << ",\"" << key << "\":\"" << json_escape(str(ev.detail)) << '"';
+        out << ",\"" << key << "\":\"" << json_escape(r.detail) << '"';
       }
       if (ev.a != 0) {
         out << ",\"a\":" << ev.a;

@@ -9,8 +9,11 @@
 // preallocated ring, the event is written in place, and wraparound
 // overwrites the oldest entries (dropped() counts them). Strings (event
 // names, device names, strategy labels) are interned into a bounded table
-// once and referenced by id, so an event record is a fixed-size write with
-// no allocation.
+// and referenced by id. The string record() overload interns on every call
+// (one locked hash lookup per string); a site that records the same event
+// shape repeatedly resolves an EventKey once via key() and records through
+// the keyed overload, which is a fixed-size slot write with no lock, no
+// lookup and no allocation.
 //
 // Threading contract (concurrency layer): record() may be called from any
 // number of shard threads concurrently — every ring-slot field is a
@@ -18,8 +21,8 @@
 // concurrent snapshot() are data-race-free. Under contention an individual
 // snapshot entry may mix fields from two events (field-level last-writer-
 // wins) — acceptable for a lossy trace ring; counts (recorded/dropped) are
-// exact. The intern table is mutex-guarded; ids are stable for the
-// tracer's lifetime.
+// exact. The intern table is mutex-guarded; ids (and so EventKeys) are
+// stable for the tracer's lifetime.
 //
 // Event vocabulary (EventType): guest I/O accesses, ES-CFG traversal steps,
 // checker violations/quarantines/self-heals, DMA transfers, pipeline phase
@@ -29,6 +32,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -66,6 +70,14 @@ struct TraceEvent {
   EventType type = EventType::kIoAccess;
 };
 
+/// The interned strings of one recurring event shape, resolved once by
+/// EventTracer::key() and valid only for the tracer that issued them.
+struct EventKey {
+  uint32_t name = 0;
+  uint32_t cat = 0;
+  uint32_t detail = 0;
+};
+
 class EventTracer {
  public:
   enum class Detail : uint8_t {
@@ -73,6 +85,8 @@ class EventTracer {
     kVerbose = 1,  // adds io_access and traversal_step
   };
 
+  /// `capacity` is rounded up to a power of two, so claiming a slot is a
+  /// mask rather than a division.
   explicit EventTracer(size_t capacity = 1 << 16);
 
   void set_detail(Detail d) {
@@ -90,10 +104,31 @@ class EventTracer {
   /// By value: the intern table may grow (and relocate) under a concurrent
   /// intern(), so a reference could dangle the moment the lock is dropped.
   [[nodiscard]] std::string string_at(uint32_t id) const;
+  /// Interned strings held (including the empty string, id 0).
+  [[nodiscard]] size_t interned() const;
 
+  /// Interns an event's strings once; an empty `detail` maps to id 0.
+  [[nodiscard]] EventKey key(std::string_view name, std::string_view cat,
+                             std::string_view detail = {});
+
+  /// Fixed-cost record: a clock read, a relaxed fetch_add and a slot
+  /// write. `k` must come from this tracer's key().
+  void record(EventType type, EventKey k, uint64_t a = 0, uint64_t b = 0,
+              uint64_t dur_ns = 0);
+  /// Convenience for one-off events: interns all three strings first.
   void record(EventType type, std::string_view name, std::string_view cat,
               std::string_view detail = {}, uint64_t a = 0, uint64_t b = 0,
               uint64_t dur_ns = 0);
+
+  /// Copies the retained events oldest-first with their strings resolved
+  /// under one intern-lock acquisition (exporters and flight dumps).
+  struct Resolved {
+    TraceEvent ev;
+    std::string name;
+    std::string cat;
+    std::string detail;
+  };
+  [[nodiscard]] std::vector<Resolved> snapshot_resolved() const;
 
   /// Pipeline-phase markers (Chrome 'B'/'E'; Perfetto renders the span).
   void begin_phase(std::string_view name, std::string_view cat);
@@ -144,12 +179,24 @@ class EventTracer {
     [[nodiscard]] TraceEvent load() const;
   };
 
+  /// Transparent hash: intern() looks a string_view up without building a
+  /// std::string first.
+  struct StringHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+
+  uint32_t intern_locked(std::string_view s);
+
   mutable std::mutex intern_mu_;
   std::vector<std::string> strings_;
-  std::unordered_map<std::string, uint32_t> ids_;
+  std::unordered_map<std::string, uint32_t, StringHash, std::equal_to<>> ids_;
 
   std::unique_ptr<AtomicSlot[]> ring_;
-  size_t capacity_ = 0;
+  size_t capacity_ = 0;  // a power of two
+  size_t mask_ = 0;      // capacity_ - 1
   std::atomic<uint64_t> head_{0};
   std::atomic<uint8_t> detail_{0};
 };

@@ -367,8 +367,9 @@ TEST(DmaFaults, FailedAndShortTransfersAreAbsorbed) {
   for (const std::string name : {"pcnet", "usb-ehci", "scsi-esp"}) {
     auto wl = make_workload(name);
     ASSERT_NE(wl->device().dma_engine(), nullptr) << name;
-    wl->build_and_deploy(
-        CheckerConfig{.rollback_on_violation = true});
+    CheckerConfig config;
+    config.rollback_on_violation = true;
+    wl->build_and_deploy(config);
     DmaEngine& dma = *wl->device().dma_engine();
     Rng rng(41);
     for (int i = 0; i < 20; ++i) {

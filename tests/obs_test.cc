@@ -9,8 +9,10 @@
 #include <thread>
 #include <vector>
 
+#include "common/rng.h"
 #include "devices/fdc.h"
 #include "guest/fdc_driver.h"
+#include "guest/workload.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -117,6 +119,7 @@ TEST(ObsRegistry, LabelsDistinguishSeriesAndHandlesAreStable) {
 TEST(ObsTracer, RingWrapsOldestFirstAndCountsDrops) {
   obs::EventTracer tracer(8);
   EXPECT_EQ(tracer.capacity(), 8u);
+  EXPECT_EQ(obs::EventTracer(5).capacity(), 8u);  // rounded up to 2^k
   for (uint64_t i = 0; i < 20; ++i) {
     tracer.record(obs::EventType::kDmaXfer, "dma_xfer", "dma", "to_guest",
                   /*a=*/i, /*b=*/0);
@@ -133,6 +136,65 @@ TEST(ObsTracer, RingWrapsOldestFirstAndCountsDrops) {
   tracer.clear();
   EXPECT_EQ(tracer.size(), 0u);
   EXPECT_EQ(tracer.dropped(), 0u);
+}
+
+TEST(ObsTracer, KeyedRecordResolvesLikeStringRecordWithoutInterning) {
+  obs::EventTracer tracer(16);
+  const obs::EventKey k = tracer.key("io_write", "fdc");
+  EXPECT_EQ(k.name, tracer.intern("io_write"));
+  EXPECT_EQ(k.cat, tracer.intern("fdc"));
+  EXPECT_EQ(k.detail, 0u);  // empty detail is the reserved id 0
+  const obs::EventKey v = tracer.key("violation", "fdc", "parameter check");
+  EXPECT_EQ(v.detail, tracer.intern("parameter check"));
+
+  // Recording through a key never touches the intern table.
+  const size_t interned = tracer.interned();
+  for (uint64_t i = 0; i < 40; ++i) {
+    tracer.record(obs::EventType::kIoAccess, k, /*a=*/0x3f5, /*b=*/i);
+  }
+  EXPECT_EQ(tracer.interned(), interned);
+  // The string overload re-interns, but a hit does not grow the table.
+  tracer.record(obs::EventType::kViolation, "violation", "fdc",
+                "parameter check", /*a=*/9);
+  EXPECT_EQ(tracer.interned(), interned);
+
+  const std::vector<obs::EventTracer::Resolved> events =
+      tracer.snapshot_resolved();
+  ASSERT_EQ(events.size(), tracer.capacity());
+  for (size_t i = 0; i + 1 < events.size(); ++i) {
+    EXPECT_EQ(events[i].ev.type, obs::EventType::kIoAccess);
+    EXPECT_EQ(events[i].name, "io_write");
+    EXPECT_EQ(events[i].cat, "fdc");
+    EXPECT_EQ(events[i].detail, "");
+    EXPECT_EQ(events[i].ev.b, 25 + i);  // 41 recorded, 16 kept
+  }
+  const obs::EventTracer::Resolved& last = events.back();
+  EXPECT_EQ(last.name, "violation");
+  EXPECT_EQ(last.detail, "parameter check");
+  EXPECT_EQ(last.ev.a, 9u);
+  EXPECT_EQ(tracer.string_at(last.ev.detail), last.detail);
+}
+
+// Keyed recording takes no lock, so it may run while another thread grows
+// the intern table; under the TSan preset this is the data-race gate for
+// that pairing.
+TEST(ObsTracer, KeyedRecordRacesInternWithoutDataRace) {
+  obs::EventTracer tracer(64);
+  const obs::EventKey k = tracer.key("io_read", "sdhci");
+  std::thread interner([&] {
+    for (int i = 0; i < 2000; ++i) {
+      (void)tracer.intern("label-" + std::to_string(i));
+    }
+  });
+  for (uint64_t i = 0; i < 20000; ++i) {
+    tracer.record(obs::EventType::kIoAccess, k, /*a=*/i);
+  }
+  interner.join();
+  EXPECT_EQ(tracer.recorded(), 20000u);
+  for (const obs::EventTracer::Resolved& r : tracer.snapshot_resolved()) {
+    EXPECT_EQ(r.name, "io_read");
+    EXPECT_EQ(r.cat, "sdhci");
+  }
 }
 
 TEST(ObsHistogram, MergeSumsBucketsAndRaisesMax) {
@@ -300,6 +362,126 @@ TEST(ObsCheckerIntegration, BlockedExploitEmitsViolationEventWithStrategy) {
   ASSERT_NE(hist, nullptr);
   EXPECT_GT(hist->count(), 0u);
   EXPECT_GT(checker->stats().check_ns, 0u);
+}
+
+// Flight ring --------------------------------------------------------------
+
+TEST(ObsFlightRing, CheckerRecordsEveryRoundWithoutInterning) {
+  auto wl = guest::make_workload("fdc");
+  wl->build_and_deploy();
+  checker::EsChecker& chk = *wl->checker();
+  obs::EventTracer ring(1 << 16);
+  checker::CheckerHooks hooks;
+  hooks.local_tracer = &ring;
+  chk.attach(std::move(hooks));
+  // attach() interned everything the checker will ever record.
+  const size_t interned = ring.interned();
+  chk.reset_stats();
+
+  Rng rng(5);
+  for (int i = 0; i < 4; ++i) {
+    wl->common_operation(guest::InteractionMode::kRandom, rng);
+  }
+  const checker::CheckerStats& stats = chk.stats();
+  ASSERT_GT(stats.rounds, 100u);
+  EXPECT_EQ(stats.rounds, stats.clean_rounds);
+  EXPECT_EQ(ring.recorded(), stats.rounds);  // one event per round
+  EXPECT_EQ(ring.interned(), interned);
+
+  uint64_t steps = 0;
+  for (const obs::EventTracer::Resolved& r : ring.snapshot_resolved()) {
+    EXPECT_EQ(r.ev.type, obs::EventType::kIoAccess);
+    EXPECT_TRUE(r.name == "io_read" || r.name == "io_write") << r.name;
+    EXPECT_EQ(r.cat, "fdc");
+    EXPECT_TRUE(r.detail.empty());
+    steps += r.ev.b;
+  }
+  EXPECT_EQ(steps, stats.total_steps);
+}
+
+// Keys are per tracer: re-attaching to another ring (whose intern table
+// assigns different ids) must re-resolve them, and detaching must stop
+// recording.
+TEST(ObsFlightRing, ReattachResolvesKeysForTheNewRing) {
+  auto wl = guest::make_workload("fdc");
+  checker::CheckerConfig config;
+  config.monitor_only = true;  // rare operations warn, the device runs on
+  wl->build_and_deploy(config);
+  checker::EsChecker& chk = *wl->checker();
+
+  obs::EventTracer first(1 << 12);
+  obs::EventTracer second(1 << 12);
+  for (const char* s : {"a", "b", "c", "d", "e"}) {
+    (void)second.intern(s);  // shift every id the checker will resolve
+  }
+  Rng rng(11);
+  checker::CheckerHooks hooks;
+  hooks.local_tracer = &first;
+  chk.attach(hooks);
+  wl->rare_operation(rng);
+  const uint64_t in_first = first.recorded();
+  ASSERT_GT(in_first, 0u);
+
+  hooks.local_tracer = &second;
+  chk.attach(hooks);
+  wl->rare_operation(rng);
+  EXPECT_EQ(first.recorded(), in_first);
+
+  for (obs::EventTracer* ring : {&first, &second}) {
+    bool saw_violation = false;
+    for (const obs::EventTracer::Resolved& r : ring->snapshot_resolved()) {
+      EXPECT_EQ(r.cat, "fdc");
+      if (r.ev.type == obs::EventType::kViolation) {
+        EXPECT_EQ(r.name, "violation");
+        bool strategy = false;
+        for (const checker::Strategy s :
+             {checker::Strategy::kParameter, checker::Strategy::kIndirectJump,
+              checker::Strategy::kConditionalJump}) {
+          strategy = strategy || r.detail == checker::strategy_name(s);
+        }
+        EXPECT_TRUE(strategy) << r.detail;
+        saw_violation = true;
+      } else {
+        EXPECT_EQ(r.ev.type, obs::EventType::kIoAccess);
+        EXPECT_TRUE(r.name == "io_read" || r.name == "io_write") << r.name;
+      }
+    }
+    EXPECT_TRUE(saw_violation);
+  }
+
+  chk.attach({});
+  const uint64_t in_second = second.recorded();
+  wl->common_operation(guest::InteractionMode::kRandom, rng);
+  EXPECT_EQ(second.recorded(), in_second);
+}
+
+TEST(ObsFlightRing, ContainedFaultRecordsQuarantineWithPolicy) {
+  auto wl = guest::make_workload("sdhci");
+  wl->build_and_deploy();
+  checker::EsChecker& chk = *wl->checker();
+  obs::EventTracer ring(1 << 12);
+  checker::CheckerHooks hooks;
+  hooks.local_tracer = &ring;
+  hooks.fault_hook = [n = 0](StateArena&) mutable {
+    checker::InternalFault f;
+    f.throw_in_traversal = ++n == 3;
+    return f;
+  };
+  chk.attach(std::move(hooks));
+  Rng rng(3);
+  wl->common_operation(guest::InteractionMode::kSequential, rng);
+  ASSERT_EQ(chk.stats().quarantines, 1u);
+
+  int quarantines = 0;
+  for (const obs::EventTracer::Resolved& r : ring.snapshot_resolved()) {
+    if (r.ev.type == obs::EventType::kQuarantine) {
+      EXPECT_EQ(r.name, "quarantine");
+      EXPECT_EQ(r.cat, "sdhci");
+      EXPECT_EQ(r.detail, "fail-closed");
+      ++quarantines;
+    }
+  }
+  EXPECT_EQ(quarantines, 1);
 }
 
 }  // namespace

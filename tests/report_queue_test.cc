@@ -125,7 +125,10 @@ TEST(ReportQueue, DropConservationUnderOverflow) {
   wl->build_and_deploy(config);
 
   ReportQueue tiny(2);
-  wl->checker()->set_report_sink(&tiny, /*shard_id=*/7);
+  checker::CheckerHooks hooks;
+  hooks.report_sink = &tiny;
+  hooks.shard_id = 7;
+  wl->checker()->attach(std::move(hooks));
   const obs::Counter& shard_drops =
       obs::metrics().counter("report_queue_dropped_total",
                              obs::label({{"shard", "7"}}));
