@@ -404,18 +404,21 @@ bool EsChecker::guarded_before_access(Device& device, const IoAccess& io) {
                                 ring_keys_[io.is_write ? kIoWrite : kIoRead],
                                 io.addr, last_.steps);
   }
-  if (!last_.violations.empty()) {
-    violations_counter_->inc(last_.violations.size());
-    for (const Violation& v : last_.violations) {
-      const auto s = static_cast<uint8_t>(v.strategy);
-      ++stats_.violations_by_strategy[s];
-      emit_report(Report::Kind::kViolation, v.strategy, v.site);
-      emit_event(static_cast<EventId>(kViolation + s), v.site);
-    }
+  if (!last_.clean()) [[unlikely]] {
+    return violation_round(device, saved_cmd);
   }
-  if (last_.clean()) {
-    ++stats_.clean_rounds;
-    return true;
+  ++stats_.clean_rounds;
+  return true;
+}
+
+bool EsChecker::violation_round(Device& device,
+                                std::optional<uint64_t> saved_cmd) {
+  violations_counter_->inc(last_.violations.size());
+  for (const Violation& v : last_.violations) {
+    const auto s = static_cast<uint8_t>(v.strategy);
+    ++stats_.violations_by_strategy[s];
+    emit_report(Report::Kind::kViolation, v.strategy, v.site);
+    emit_event(static_cast<EventId>(kViolation + s), v.site);
   }
 
   if (config_.monitor_only) {

@@ -420,6 +420,12 @@ class EsChecker final : public sedspec::IoProxy {
   void emit_report(Report::Kind kind, Strategy strategy, SiteId site,
                    uint64_t value = 0);
   bool guarded_before_access(Device& device, const IoAccess& io);
+  /// Everything after a round is found non-clean: counters, reports,
+  /// events and the block/warn policy. Out of line and cold so the clean
+  /// round's code stays small. `saved_cmd` is the command latch from
+  /// before the round, restored when the access is blocked.
+  [[gnu::cold, gnu::noinline]] bool violation_round(
+      Device& device, std::optional<uint64_t> saved_cmd);
   bool contain_fault(Device& device, const std::string& what,
                      bool count_round);
 

@@ -1,7 +1,7 @@
 #include "checker/engine/engine.h"
 
 #include <atomic>
-#include <sstream>
+#include <charconv>
 
 #include "checker/engine/bytecode.h"
 #include "checker/engine/interpreter.h"
@@ -72,27 +72,44 @@ bool index_is_state_derived(const spec::EsCfg& cfg, const sedspec::ExprRef& e) {
 
 namespace detail {
 
+namespace {
+
+/// Appends `v` in `base` (16: lowercase, no prefix, no padding) — the same
+/// digits `std::ostream << std::hex/std::dec` would print, without a stream.
+void append_num(std::string& out, uint64_t v, int base = 10) {
+  char buf[24];
+  const auto res = std::to_chars(buf, buf + sizeof(buf), v, base);
+  out.append(buf, res.ptr);
+}
+
+}  // namespace
+
 std::string untrained_io(const IoAccess& io) {
-  std::ostringstream detail;
-  detail << "untrained I/O access: "
-         << (io.space == sedspec::IoSpace::kPio ? "pio" : "mmio") << " 0x"
-         << std::hex << io.addr << (io.is_write ? " write" : " read");
-  return detail.str();
+  std::string out = "untrained I/O access: ";
+  out += io.space == sedspec::IoSpace::kPio ? "pio 0x" : "mmio 0x";
+  append_num(out, io.addr, 16);
+  out += io.is_write ? " write" : " read";
+  return out;
 }
 
 std::string visit_bound(std::string_view block_name, uint64_t visits,
                         uint64_t trained_max) {
-  std::ostringstream detail;
-  detail << "block '" << block_name << "' visited " << visits
-         << " times in one round (trained max " << trained_max << ")";
-  return detail.str();
+  std::string out = "block '";
+  out += block_name;
+  out += "' visited ";
+  append_num(out, visits);
+  out += " times in one round (trained max ";
+  append_num(out, trained_max);
+  out += ')';
+  return out;
 }
 
 std::string cmd_access(std::string_view block_name, uint64_t cmd) {
-  std::ostringstream detail;
-  detail << "block '" << block_name << "' not accessible under command 0x"
-         << std::hex << cmd;
-  return detail.str();
+  std::string out = "block '";
+  out += block_name;
+  out += "' not accessible under command 0x";
+  append_num(out, cmd, 16);
+  return out;
 }
 
 std::string unresolved_sync(const sedspec::EvalDiag& diag) {
@@ -104,8 +121,12 @@ std::string guard_diag(const sedspec::EvalDiag& diag) {
 }
 
 std::string untrained_direction(std::string_view block_name, bool taken) {
-  return std::string("untrained ") + (taken ? "taken" : "not-taken") +
-         " direction at '" + std::string(block_name) + "'";
+  std::string out = "untrained ";
+  out += taken ? "taken" : "not-taken";
+  out += " direction at '";
+  out += block_name;
+  out += '\'';
+  return out;
 }
 
 std::string cmd_decode_diag(const sedspec::EvalDiag& diag) {
@@ -113,26 +134,34 @@ std::string cmd_decode_diag(const sedspec::EvalDiag& diag) {
 }
 
 std::string untrained_cmd(std::string_view block_name, uint64_t cmd) {
-  std::ostringstream detail;
-  detail << "untrained command 0x" << std::hex << cmd << " at '" << block_name
-         << "'";
-  return detail.str();
+  std::string out = "untrained command 0x";
+  append_num(out, cmd, 16);
+  out += " at '";
+  out += block_name;
+  out += '\'';
+  return out;
 }
 
 std::string indirect_target(std::string_view block_name, uint64_t target) {
-  std::ostringstream detail;
-  detail << "indirect call at '" << block_name << "' targets 0x" << std::hex
-         << target << ", not a trained legitimate function";
-  return detail.str();
+  std::string out = "indirect call at '";
+  out += block_name;
+  out += "' targets 0x";
+  append_num(out, target, 16);
+  out += ", not a trained legitimate function";
+  return out;
 }
 
 std::string watchdog_tripped(uint64_t steps) {
-  return "traversal watchdog tripped after " + std::to_string(steps) +
-         " steps";
+  std::string out = "traversal watchdog tripped after ";
+  append_num(out, steps);
+  out += " steps";
+  return out;
 }
 
 std::string unmapped_site(SiteId site) {
-  return "traversal reached unmapped site " + std::to_string(site);
+  std::string out = "traversal reached unmapped site ";
+  append_num(out, site);
+  return out;
 }
 
 }  // namespace detail

@@ -80,7 +80,7 @@ void set_log_level(LogLevel level) {
   level_ref().store(level, std::memory_order_relaxed);
 }
 
-void log_line(LogLevel level, const std::string& component,
+void log_line(LogLevel level, std::string_view component,
               const std::string& message) {
   if (level < log_level()) {
     return;

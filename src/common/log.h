@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -38,44 +39,59 @@ LogLevel log_level();
 void set_log_level(LogLevel level);
 
 /// Emits one formatted line to stderr if `level >= log_level()`.
-void log_line(LogLevel level, const std::string& component,
+void log_line(LogLevel level, std::string_view component,
               const std::string& message);
 
 namespace detail {
 
+/// One log line under construction. The level is checked once, up front:
+/// a line the current level drops builds no ostringstream and formats none
+/// of its `<<` operands, so a suppressed log_* site on a hot path costs one
+/// relaxed load.
 class LogStream {
  public:
-  LogStream(LogLevel level, std::string component)
-      : level_(level), component_(std::move(component)) {}
+  LogStream(LogLevel level, std::string_view component)
+      : level_(level), component_(component) {
+    if (level >= log_level()) {
+      stream_.emplace();
+    }
+  }
   LogStream(const LogStream&) = delete;
   LogStream& operator=(const LogStream&) = delete;
-  ~LogStream() { log_line(level_, component_, stream_.str()); }
+  ~LogStream() {
+    if (stream_) {
+      log_line(level_, component_, stream_->str());
+    }
+  }
 
   template <typename T>
   LogStream& operator<<(const T& value) {
-    stream_ << value;
+    if (stream_) {
+      *stream_ << value;
+    }
     return *this;
   }
 
  private:
   LogLevel level_;
-  std::string component_;
-  std::ostringstream stream_;
+  std::string_view component_;
+  std::optional<std::ostringstream> stream_;
 };
 
 }  // namespace detail
 
-inline detail::LogStream log_debug(std::string component) {
-  return {LogLevel::kDebug, std::move(component)};
+// `component` must outlive the returned stream (a literal, in practice).
+inline detail::LogStream log_debug(std::string_view component) {
+  return {LogLevel::kDebug, component};
 }
-inline detail::LogStream log_info(std::string component) {
-  return {LogLevel::kInfo, std::move(component)};
+inline detail::LogStream log_info(std::string_view component) {
+  return {LogLevel::kInfo, component};
 }
-inline detail::LogStream log_warn(std::string component) {
-  return {LogLevel::kWarn, std::move(component)};
+inline detail::LogStream log_warn(std::string_view component) {
+  return {LogLevel::kWarn, component};
 }
-inline detail::LogStream log_error(std::string component) {
-  return {LogLevel::kError, std::move(component)};
+inline detail::LogStream log_error(std::string_view component) {
+  return {LogLevel::kError, component};
 }
 
 }  // namespace sedspec

@@ -1,10 +1,10 @@
 #include "obs/flight.h"
 
+#include <algorithm>
 #include <sstream>
 
 #include "common/assert.h"
 #include "obs/json.h"
-#include "obs/metrics.h"
 
 namespace sedspec::obs {
 
@@ -41,6 +41,7 @@ FlightRecorder::FlightRecorder(size_t shards, FlightConfig cfg) : cfg_(cfg) {
     rings_.back()->set_detail(EventTracer::Detail::kVerbose);
   }
   last_dump_epoch_.assign(shards * kTriggerCount, ~uint64_t{0});
+  slots_.resize(cfg_.max_bundles);
 }
 
 void FlightRecorder::set_context_provider(
@@ -57,7 +58,6 @@ bool FlightRecorder::dump(FlightTrigger trigger, size_t shard,
                           std::string_view reason) {
   SEDSPEC_REQUIRE(shard < rings_.size());
   const uint64_t epoch = epoch_.load(std::memory_order_relaxed);
-  EventTracer& ring = *rings_[shard];
 
   std::lock_guard lock(mu_);
   const size_t dedup_idx =
@@ -68,33 +68,23 @@ bool FlightRecorder::dump(FlightTrigger trigger, size_t shard,
   }
   last_dump_epoch_[dedup_idx] = epoch;
 
-  FlightBundle b;
-  b.sequence = sequence_++;
-  b.ts_ns = now_ns();
-  b.trigger = trigger;
-  b.shard = shard;
-  b.epoch = epoch;
-  b.reason = std::string(reason);
-  std::vector<EventTracer::Resolved> events = ring.snapshot_resolved();
-  b.events.reserve(events.size());
-  for (EventTracer::Resolved& r : events) {
-    FlightBundle::Event e;
-    e.ts_ns = r.ev.ts_ns;
-    e.a = r.ev.a;
-    e.b = r.ev.b;
-    e.type = event_type_name(r.ev.type);
-    e.name = std::move(r.name);
-    e.cat = std::move(r.cat);
-    e.detail = std::move(r.detail);
-    b.events.push_back(std::move(e));
-  }
-  b.metrics_json = metrics().to_json();
+  Slot& slot = slots_[dumps_ % slots_.size()];
+  slot.sequence = dumps_;
+  slot.ts_ns = now_ns();
+  slot.trigger = trigger;
+  slot.shard = shard;
+  slot.epoch = epoch;
+  slot.reason.assign(reason);
+  // A slot's first use sizes it for any shard's full ring (all rings share
+  // one capacity), so later dumps into it never grow it. Done here rather
+  // than up front so a recorder that never dumps costs no bundle memory.
+  slot.events.reserve(rings_[shard]->capacity());
+  rings_[shard]->snapshot_into(slot.events);
+  metrics().freeze(slot.metrics);
   if (context_provider_) {
-    b.context_json = context_provider_();
-  }
-  bundles_.push_back(std::move(b));
-  while (bundles_.size() > cfg_.max_bundles) {
-    bundles_.pop_front();
+    slot.context_json = context_provider_();
+  } else {
+    slot.context_json.clear();
   }
   ++dumps_;
   return true;
@@ -112,7 +102,40 @@ uint64_t FlightRecorder::suppressed() const {
 
 std::vector<FlightBundle> FlightRecorder::bundles() const {
   std::lock_guard lock(mu_);
-  return {bundles_.begin(), bundles_.end()};
+  const uint64_t kept = std::min<uint64_t>(dumps_, slots_.size());
+  std::vector<FlightBundle> out;
+  out.reserve(kept);
+  for (uint64_t seq = dumps_ - kept; seq < dumps_; ++seq) {
+    out.push_back(render(slots_[seq % slots_.size()]));
+  }
+  return out;
+}
+
+FlightBundle FlightRecorder::render(const Slot& slot) const {
+  FlightBundle b;
+  b.sequence = slot.sequence;
+  b.ts_ns = slot.ts_ns;
+  b.trigger = slot.trigger;
+  b.shard = slot.shard;
+  b.epoch = slot.epoch;
+  b.reason = slot.reason;
+  std::vector<EventTracer::Resolved> events =
+      rings_[slot.shard]->resolve(slot.events);
+  b.events.reserve(events.size());
+  for (EventTracer::Resolved& r : events) {
+    FlightBundle::Event e;
+    e.ts_ns = r.ev.ts_ns;
+    e.a = r.ev.a;
+    e.b = r.ev.b;
+    e.type = event_type_name(r.ev.type);
+    e.name = std::move(r.name);
+    e.cat = std::move(r.cat);
+    e.detail = std::move(r.detail);
+    b.events.push_back(std::move(e));
+  }
+  b.metrics_json = slot.metrics.to_json();
+  b.context_json = slot.context_json;
+  return b;
 }
 
 std::string FlightBundle::to_json() const {

@@ -15,18 +15,24 @@
 // Cost model: a checker resolves its ring's EventKeys once when it attaches,
 // so recording a round is one keyed EventTracer::record — a clock read and
 // a relaxed slot write, with no intern lock, no hash lookup and no
-// allocation. dump() is the only expensive path; it resolves the ring's
-// strings under one lock and runs wherever reports are drained (the
-// service's consumer thread, or the guest thread of a single-VM harness).
-// Bundles are bounded (max_bundles, oldest evicted) and per-(shard,
-// trigger) dumps are deduplicated within an epoch (the collector bumps the
-// epoch each window) so a violation storm produces one bundle per window,
-// not thousands.
+// allocation. dump() runs wherever reports are drained (the service's
+// consumer thread, or the guest thread of a single-VM harness), often on
+// a warning round a guest keeps running through, so it freezes raw values
+// only: it copies the ring's TraceEvent slots and a values-only
+// MetricsRegistry::freeze() into one of max_bundles reusable slots
+// (used as a ring, oldest overwritten). A warm dump allocates nothing
+// unless a context provider is set or metric series were registered since
+// the slot was last used. Frozen metrics point at the registry's map keys,
+// which is sound because the registry never erases a series; frozen
+// events keep interned ids, which the shard rings never drop. The strings
+// are resolved and the JSON rendered only when a bundle is read, in
+// bundles() and to_json(). Per-(shard, trigger) dumps are deduplicated
+// within an epoch (the collector bumps the epoch each window) so a
+// violation storm produces one bundle per window, not thousands.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -34,6 +40,7 @@
 #include <string_view>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace sedspec::obs {
@@ -55,8 +62,9 @@ struct FlightConfig {
   size_t max_bundles = 16;
 };
 
-/// One frozen incident: resolved events + metrics + context, all by value
-/// (self-contained — survives the recorder and the rings it came from).
+/// One frozen incident as readers see it: resolved events + metrics +
+/// context, all by value (self-contained — survives the recorder and the
+/// rings it came from). Rendered from the raw slot by bundles().
 struct FlightBundle {
   uint64_t sequence = 0;  // monotone bundle number
   uint64_t ts_ns = 0;     // freeze time
@@ -75,7 +83,7 @@ struct FlightBundle {
     std::string detail;
   };
   std::vector<Event> events;
-  /// MetricsRegistry::to_json() at freeze time.
+  /// MetricsRegistry::to_json() of the values at freeze time.
   std::string metrics_json;
   /// Caller-supplied window context (JSON object or empty).
   std::string context_json;
@@ -112,23 +120,38 @@ class FlightRecorder {
 
   [[nodiscard]] uint64_t dumps() const;
   [[nodiscard]] uint64_t suppressed() const;
-  /// Copies of the retained bundles, oldest-first.
+  /// The retained bundles, oldest-first, resolved and rendered now.
   [[nodiscard]] std::vector<FlightBundle> bundles() const;
   [[nodiscard]] std::string to_json() const;
 
  private:
+  /// One retained bundle as raw values: ring slots and metric values are
+  /// copied, not resolved or rendered. Reused when the slot ring wraps.
+  struct Slot {
+    uint64_t sequence = 0;
+    uint64_t ts_ns = 0;
+    FlightTrigger trigger = FlightTrigger::kManual;
+    size_t shard = 0;
+    uint64_t epoch = 0;
+    std::string reason;
+    std::vector<TraceEvent> events;
+    MetricsRegistry::Frozen metrics;
+    std::string context_json;
+  };
+  [[nodiscard]] FlightBundle render(const Slot& slot) const;
+
   FlightConfig cfg_;
   std::vector<std::unique_ptr<EventTracer>> rings_;
   std::atomic<uint64_t> epoch_{0};
 
   mutable std::mutex mu_;
   std::function<std::string()> context_provider_;
-  std::deque<FlightBundle> bundles_;
+  /// max_bundles slots; bundle `sequence` lives in slot sequence % size.
+  std::vector<Slot> slots_;
   /// Last epoch in which (shard, trigger) dumped; index
   /// shard * kTriggerCount + trigger. ~0 = never.
   std::vector<uint64_t> last_dump_epoch_;
-  uint64_t sequence_ = 0;
-  uint64_t dumps_ = 0;
+  uint64_t dumps_ = 0;  // also the next bundle's sequence
   uint64_t suppressed_ = 0;
 };
 

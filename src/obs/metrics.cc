@@ -315,40 +315,60 @@ MetricsRegistry::Snapshot MetricsRegistry::snapshot() const {
   return snap;
 }
 
-std::string MetricsRegistry::to_json() const {
+void MetricsRegistry::freeze(Frozen& out) const {
+  out.counters.clear();
+  out.gauges.clear();
+  out.histograms.clear();
   std::lock_guard lock(mu_);
-  std::ostringstream out;
-  out << "{\n  \"counters\": [";
-  bool first = true;
   for (const auto& [key, c] : counters_) {
+    out.counters.push_back({&key, c->value()});
+  }
+  for (const auto& [key, g] : gauges_) {
+    out.gauges.push_back({&key, g->value()});
+  }
+  for (const auto& [key, h] : histograms_) {
+    out.histograms.push_back(
+        {&key, h->count(), h->sum(), h->max(), h->p50(), h->p90(), h->p99()});
+  }
+}
+
+std::string MetricsRegistry::Frozen::to_json() const {
+  std::ostringstream out;
+  // Opens one series object; `first` tracks the comma separator.
+  auto head = [&out](bool& first, const std::string& key) {
     const auto [name, labels] = split_key(key);
     out << (first ? "" : ",") << "\n    {\"name\": \"" << json_escape(name)
-        << "\", \"labels\": \"" << json_escape(labels)
-        << "\", \"value\": " << c->value() << "}";
+        << "\", \"labels\": \"" << json_escape(labels) << "\"";
     first = false;
+  };
+  out << "{\n  \"counters\": [";
+  bool first = true;
+  for (const CounterValue& c : counters) {
+    head(first, *c.key);
+    out << ", \"value\": " << c.value << "}";
   }
   out << "\n  ],\n  \"gauges\": [";
   first = true;
-  for (const auto& [key, g] : gauges_) {
-    const auto [name, labels] = split_key(key);
-    out << (first ? "" : ",") << "\n    {\"name\": \"" << json_escape(name)
-        << "\", \"labels\": \"" << json_escape(labels)
-        << "\", \"value\": " << g->value() << "}";
-    first = false;
+  for (const GaugeValue& g : gauges) {
+    head(first, *g.key);
+    out << ", \"value\": " << g.value << "}";
   }
   out << "\n  ],\n  \"histograms\": [";
   first = true;
-  for (const auto& [key, h] : histograms_) {
-    const auto [name, labels] = split_key(key);
-    out << (first ? "" : ",") << "\n    {\"name\": \"" << json_escape(name)
-        << "\", \"labels\": \"" << json_escape(labels)
-        << "\", \"count\": " << h->count() << ", \"sum\": " << h->sum()
-        << ", \"max\": " << h->max() << ", \"p50\": " << h->p50()
-        << ", \"p90\": " << h->p90() << ", \"p99\": " << h->p99() << "}";
-    first = false;
+  for (const HistogramValue& h : histograms) {
+    head(first, *h.key);
+    out << ", \"count\": " << h.count << ", \"sum\": " << h.sum
+        << ", \"max\": " << h.max << ", \"p50\": " << h.p50
+        << ", \"p90\": " << h.p90 << ", \"p99\": " << h.p99 << "}";
   }
   out << "\n  ]\n}\n";
   return out.str();
+}
+
+std::string MetricsRegistry::to_json() const {
+  Frozen frozen;
+  freeze(frozen);
+  return frozen.to_json();
 }
 
 MetricsRegistry& metrics() {

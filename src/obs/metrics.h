@@ -149,6 +149,10 @@ class Histogram {
 /// are node-stable and every handle mutation is a relaxed atomic, so any
 /// number of shard threads may update metrics concurrently with an
 /// exporter snapshot.
+///
+/// Invariant: a registered series is never erased. Its map key is a
+/// node-stable, immutable std::string for the registry's lifetime, which
+/// is what lets Frozen point at keys instead of copying them.
 class MetricsRegistry {
  public:
   /// Lookup-or-create. The returned reference is stable until the registry
@@ -192,6 +196,35 @@ class MetricsRegistry {
   };
   [[nodiscard]] Snapshot snapshot() const;
 
+  /// Values-only point-in-time copy of every series (one lock, relaxed
+  /// value loads): the cheap capture behind flight dumps, rendered later.
+  /// Entries point at the registry's never-erased map keys (`name{labels}`)
+  /// instead of copying them, so a Frozen is valid while the registry
+  /// lives. Histograms keep only the values the JSON export shows.
+  struct Frozen {
+    struct CounterValue {
+      const std::string* key = nullptr;
+      uint64_t value = 0;
+    };
+    struct GaugeValue {
+      const std::string* key = nullptr;
+      int64_t value = 0;
+    };
+    struct HistogramValue {
+      const std::string* key = nullptr;
+      uint64_t count = 0, sum = 0, max = 0, p50 = 0, p90 = 0, p99 = 0;
+    };
+    std::vector<CounterValue> counters;
+    std::vector<GaugeValue> gauges;
+    std::vector<HistogramValue> histograms;
+
+    /// The JSON document to_json() below describes.
+    [[nodiscard]] std::string to_json() const;
+  };
+  /// Overwrites `out`, reusing its storage: refreezing into the same
+  /// Frozen allocates only when series were registered since.
+  void freeze(Frozen& out) const;
+
   /// Prometheus text exposition: `sedspec_<name>{labels} value` lines with
   /// `# HELP`/`# TYPE` headers emitted once per metric family (all of a
   /// family's samples are contiguous even when several labeled series
@@ -204,6 +237,7 @@ class MetricsRegistry {
   ///    "gauges":[...],
   ///    "histograms":[{"name","labels","count","sum","max",
   ///                   "p50","p90","p99"}...]}
+  /// Rendered from a freeze(), the one JSON path for registry values.
   [[nodiscard]] std::string to_json() const;
 
  private:

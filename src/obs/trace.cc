@@ -159,18 +159,23 @@ uint64_t EventTracer::dropped() const {
 }
 
 std::vector<TraceEvent> EventTracer::snapshot() const {
+  std::vector<TraceEvent> out;
+  snapshot_into(out);
+  return out;
+}
+
+void EventTracer::snapshot_into(std::vector<TraceEvent>& out) const {
   const uint64_t head = recorded();
   const uint64_t count = std::min<uint64_t>(head, capacity_);
-  std::vector<TraceEvent> out;
+  out.clear();
   out.reserve(count);
   for (uint64_t i = head - count; i < head; ++i) {
     out.push_back(ring_[i & mask_].load());
   }
-  return out;
 }
 
-std::vector<EventTracer::Resolved> EventTracer::snapshot_resolved() const {
-  const std::vector<TraceEvent> events = snapshot();
+std::vector<EventTracer::Resolved> EventTracer::resolve(
+    std::span<const TraceEvent> events) const {
   std::vector<Resolved> out;
   out.reserve(events.size());
   std::lock_guard lock(intern_mu_);
@@ -181,6 +186,10 @@ std::vector<EventTracer::Resolved> EventTracer::snapshot_resolved() const {
                    strings_[ev.detail]});
   }
   return out;
+}
+
+std::vector<EventTracer::Resolved> EventTracer::snapshot_resolved() const {
+  return resolve(snapshot());
 }
 
 void EventTracer::clear() { head_.store(0, std::memory_order_relaxed); }

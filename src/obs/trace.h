@@ -35,6 +35,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -120,14 +121,18 @@ class EventTracer {
               std::string_view detail = {}, uint64_t a = 0, uint64_t b = 0,
               uint64_t dur_ns = 0);
 
-  /// Copies the retained events oldest-first with their strings resolved
-  /// under one intern-lock acquisition (exporters and flight dumps).
+  /// Events with their strings resolved.
   struct Resolved {
     TraceEvent ev;
     std::string name;
     std::string cat;
     std::string detail;
   };
+  /// Resolves `events` (recorded by this tracer, possibly long ago: ids
+  /// are stable) under one intern-lock acquisition.
+  [[nodiscard]] std::vector<Resolved> resolve(
+      std::span<const TraceEvent> events) const;
+  /// resolve(snapshot()): the retained events oldest-first, resolved.
   [[nodiscard]] std::vector<Resolved> snapshot_resolved() const;
 
   /// Pipeline-phase markers (Chrome 'B'/'E'; Perfetto renders the span).
@@ -149,6 +154,9 @@ class EventTracer {
   /// snapshot time may carry mixed fields; prefer quiescent reads for
   /// exact exports.
   [[nodiscard]] std::vector<TraceEvent> snapshot() const;
+  /// snapshot() into `out`, reusing its storage: no allocation once `out`
+  /// holds capacity() events (flight dumps).
+  void snapshot_into(std::vector<TraceEvent>& out) const;
 
   /// Chrome trace-event JSON: {"traceEvents":[...]} with ts/dur in
   /// microseconds, phase 'B'/'E' for pipeline phases, 'X' for events

@@ -667,5 +667,98 @@ TEST(ConcurrencyCheckEngine, MixedEngineFleetStaysClean) {
   }
 }
 
+// Violation detail strings -------------------------------------------------
+
+// Byte-for-byte pins of every detail:: helper both engines format
+// violations through. The differential suite above only proves the engines
+// agree with each other; these prove neither drifted from the wording
+// (digits, hex case, prefixes, quoting) reports and logs carry.
+TEST(EngineDetailStrings, GoldenBytes) {
+  namespace d = checker::engine::detail;
+  constexpr uint64_t kMax = UINT64_MAX;
+
+  IoAccess io;
+  io.space = IoSpace::kPio;
+  io.addr = 0x3f5;
+  io.is_write = true;
+  EXPECT_EQ(d::untrained_io(io), "untrained I/O access: pio 0x3f5 write");
+  io.is_write = false;
+  io.addr = 0;
+  EXPECT_EQ(d::untrained_io(io), "untrained I/O access: pio 0x0 read");
+  io.space = IoSpace::kMmio;
+  io.addr = kMax;
+  EXPECT_EQ(d::untrained_io(io),
+            "untrained I/O access: mmio 0xffffffffffffffff read");
+  io.addr = 0xfebf0000;
+  io.is_write = true;
+  EXPECT_EQ(d::untrained_io(io), "untrained I/O access: mmio 0xfebf0000 write");
+
+  EXPECT_EQ(d::visit_bound("fifo_loop", 0, kMax),
+            "block 'fifo_loop' visited 0 times in one round (trained max "
+            "18446744073709551615)");
+  EXPECT_EQ(d::visit_bound("b", kMax, 0),
+            "block 'b' visited 18446744073709551615 times in one round "
+            "(trained max 0)");
+  EXPECT_EQ(d::visit_bound("b", 65, 8),
+            "block 'b' visited 65 times in one round (trained max 8)");
+
+  EXPECT_EQ(d::cmd_access("seek", 0),
+            "block 'seek' not accessible under command 0x0");
+  EXPECT_EQ(d::cmd_access("seek", kMax),
+            "block 'seek' not accessible under command 0xffffffffffffffff");
+  EXPECT_EQ(d::cmd_access("seek", 0xAB),
+            "block 'seek' not accessible under command 0xab");
+
+  EXPECT_EQ(d::untrained_direction("guard", true),
+            "untrained taken direction at 'guard'");
+  EXPECT_EQ(d::untrained_direction("guard", false),
+            "untrained not-taken direction at 'guard'");
+
+  EXPECT_EQ(d::untrained_cmd("dispatch", 0),
+            "untrained command 0x0 at 'dispatch'");
+  EXPECT_EQ(d::untrained_cmd("dispatch", kMax),
+            "untrained command 0xffffffffffffffff at 'dispatch'");
+  EXPECT_EQ(d::untrained_cmd("dispatch", 0x8e),
+            "untrained command 0x8e at 'dispatch'");
+
+  EXPECT_EQ(d::indirect_target("irq", 0),
+            "indirect call at 'irq' targets 0x0, not a trained legitimate "
+            "function");
+  EXPECT_EQ(d::indirect_target("irq", kMax),
+            "indirect call at 'irq' targets 0xffffffffffffffff, not a "
+            "trained legitimate function");
+  EXPECT_EQ(d::indirect_target("irq", 0xdeadbeef),
+            "indirect call at 'irq' targets 0xdeadbeef, not a trained "
+            "legitimate function");
+
+  EXPECT_EQ(d::watchdog_tripped(0), "traversal watchdog tripped after 0 steps");
+  EXPECT_EQ(d::watchdog_tripped(kMax),
+            "traversal watchdog tripped after 18446744073709551615 steps");
+  EXPECT_EQ(d::unmapped_site(0), "traversal reached unmapped site 0");
+  EXPECT_EQ(d::unmapped_site(65535), "traversal reached unmapped site 65535");
+
+  EvalDiag oob;
+  oob.kind = EvalDiag::Kind::kBufferOob;
+  oob.buffer = 3;
+  oob.index = kMax;
+  oob.oob_is_write = true;
+  EXPECT_EQ(d::guard_diag(oob),
+            "in guard: buffer write out of bounds: field p3 index "
+            "18446744073709551615");
+  EvalDiag missing;
+  missing.kind = EvalDiag::Kind::kMissingLocal;
+  missing.local = 7;
+  EXPECT_EQ(d::unresolved_sync(missing),
+            "unresolved sync variable: unresolved local variable local7");
+  EvalDiag div;
+  div.kind = EvalDiag::Kind::kDivByZero;
+  div.note = "fifo[i] / n";
+  EXPECT_EQ(d::cmd_decode_diag(div),
+            "in command decode: division by zero (at: fifo[i] / n)");
+
+  EXPECT_EQ(d::kBudgetExceeded, "traversal budget exceeded");
+  EXPECT_EQ(d::kGuardUnresolvedSync, "unresolved sync variable in guard");
+}
+
 }  // namespace
 }  // namespace sedspec

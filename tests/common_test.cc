@@ -2,6 +2,8 @@
 // RNG, the virtual clock, and the leveled logger.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "common/bytes.h"
 #include "common/log.h"
 #include "common/rng.h"
@@ -30,6 +32,32 @@ TEST(Log, MonotonicTimebaseNeverGoesBackwards) {
   const uint64_t a = monotonic_ns();
   const uint64_t b = monotonic_ns();
   EXPECT_LE(a, b);
+}
+
+/// Counts how often a log line actually formats it.
+struct FormatProbe {
+  int* formatted;
+};
+std::ostream& operator<<(std::ostream& out, const FormatProbe& p) {
+  ++*p.formatted;
+  return out << "probe";
+}
+
+TEST(Log, SuppressedLevelFormatsNothing) {
+  const LogLevel saved = log_level();
+  set_log_level(LogLevel::kError);
+  int formatted = 0;
+  log_debug("log-test") << FormatProbe{&formatted} << 1;
+  log_info("log-test") << FormatProbe{&formatted};
+  log_warn("log-test") << "dropped: " << FormatProbe{&formatted};
+  EXPECT_EQ(formatted, 0);
+  // An emitted level still formats every operand (the line goes to stderr).
+  log_error("log-test") << FormatProbe{&formatted} << FormatProbe{&formatted};
+  EXPECT_EQ(formatted, 2);
+  set_log_level(LogLevel::kOff);
+  log_error("log-test") << FormatProbe{&formatted};
+  EXPECT_EQ(formatted, 2);
+  set_log_level(saved);
 }
 
 TEST(Bytes, WriterReaderRoundTrip) {

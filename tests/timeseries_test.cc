@@ -5,9 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/flight.h"
@@ -377,8 +381,170 @@ TEST(ObsFlight, BundleRetentionIsBounded) {
   EXPECT_EQ(flight.dumps(), 10u);
   std::vector<obs::FlightBundle> bundles = flight.bundles();
   ASSERT_EQ(bundles.size(), 3u);  // oldest evicted
-  EXPECT_EQ(bundles.front().epoch, 7u);
-  EXPECT_EQ(bundles.back().epoch, 9u);
+  // The slot ring has wrapped three times (10 dumps into 3 slots); readers
+  // still see oldest-first order with monotone, gap-free sequences.
+  for (size_t i = 0; i < bundles.size(); ++i) {
+    EXPECT_EQ(bundles[i].epoch, 7u + i);
+    EXPECT_EQ(bundles[i].sequence, 7u + i);
+  }
+}
+
+/// The value of counter `name` in a bundle's metrics JSON, if present.
+std::optional<double> frozen_counter(const obs::FlightBundle& b,
+                                     const std::string& name) {
+  const obs::JsonValue doc = obs::json_parse(b.metrics_json);
+  for (const obs::JsonValue& c : doc.find("counters")->array) {
+    if (c.find("name")->str == name) {
+      return c.find("value")->number;
+    }
+  }
+  return std::nullopt;
+}
+
+TEST(ObsFlight, MetricsAreFrozenAtDumpTime) {
+  obs::Counter& probe = obs::metrics().counter("flight_freeze_probe_total");
+  probe.inc(5);
+  const uint64_t frozen = probe.value();
+  obs::FlightRecorder flight(1);
+  ASSERT_TRUE(flight.dump(obs::FlightTrigger::kManual, 0, "freeze"));
+
+  // Bumped and registered after the dump: neither may leak into the
+  // bundle, although the bundle is rendered only now.
+  probe.inc(100);
+  obs::metrics().counter("flight_freeze_late_total").inc();
+  obs::metrics().histogram("flight_freeze_late_ns").record(7);
+
+  const std::vector<obs::FlightBundle> bundles = flight.bundles();
+  ASSERT_EQ(bundles.size(), 1u);
+  EXPECT_EQ(frozen_counter(bundles[0], "flight_freeze_probe_total"),
+            static_cast<double>(frozen));
+  EXPECT_FALSE(frozen_counter(bundles[0], "flight_freeze_late_total"));
+  EXPECT_EQ(bundles[0].metrics_json.find("flight_freeze_late_ns"),
+            std::string::npos);
+}
+
+TEST(ObsFlight, EventsAreFrozenAtDumpTime) {
+  obs::FlightConfig cfg;
+  cfg.shard_ring_capacity = 8;
+  obs::FlightRecorder flight(1, cfg);
+  obs::EventTracer& ring = flight.shard_ring(0);
+  for (uint64_t i = 0; i < 5; ++i) {
+    ring.record(obs::EventType::kIoAccess, "io_read", "fdc", "", 0x3f0 + i, i);
+  }
+  ASSERT_TRUE(flight.dump(obs::FlightTrigger::kViolation, 0, "fdc"));
+  const std::string before = flight.to_json();
+
+  // Wrap the ring several times, with new strings, after the dump.
+  for (uint64_t i = 0; i < 3 * ring.capacity(); ++i) {
+    ring.record(obs::EventType::kViolation, "late", "sdhci", "late-detail",
+                i, i);
+  }
+  EXPECT_EQ(flight.to_json(), before);
+  const std::vector<obs::FlightBundle> bundles = flight.bundles();
+  ASSERT_EQ(bundles.size(), 1u);
+  ASSERT_EQ(bundles[0].events.size(), 5u);
+  for (uint64_t i = 0; i < 5; ++i) {
+    const obs::FlightBundle::Event& e = bundles[0].events[i];
+    EXPECT_EQ(e.type, "io_access");
+    EXPECT_EQ(e.name, "io_read");
+    EXPECT_EQ(e.cat, "fdc");
+    EXPECT_EQ(e.a, 0x3f0 + i);
+    EXPECT_EQ(e.b, i);
+  }
+}
+
+TEST(ObsFlight, DumpAndRenderWhileShardsRecord) {
+  // Shard threads record into their rings and register metric series
+  // while this thread dumps (copying rings, freezing the registry) and
+  // renders bundles (reading frozen keys outside the registry lock). The
+  // TSan lane runs this; in other builds it checks the bundles parse.
+  obs::FlightConfig cfg;
+  cfg.shard_ring_capacity = 64;
+  cfg.max_bundles = 4;
+  obs::FlightRecorder flight(2, cfg);
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> shards;
+  for (size_t shard = 0; shard < 2; ++shard) {
+    shards.emplace_back([&flight, &stop, shard] {
+      obs::EventTracer& ring = flight.shard_ring(shard);
+      const obs::EventKey k = ring.key("io_read", "fdc");
+      for (uint64_t i = 0; !stop.load(std::memory_order_relaxed); ++i) {
+        ring.record(obs::EventType::kIoAccess, k, i, shard);
+        if (i % 64 == 0) {
+          obs::metrics()
+              .counter("flight_race_total",
+                       obs::label({{"n", std::to_string(i / 64 % 16)}}))
+              .inc();
+        }
+      }
+    });
+  }
+  while (flight.shard_ring(0).recorded() < 64 ||
+         flight.shard_ring(1).recorded() < 64) {
+    std::this_thread::yield();
+  }
+  for (uint64_t epoch = 0; epoch < 200; ++epoch) {
+    flight.set_epoch(epoch);
+    ASSERT_TRUE(flight.dump(obs::FlightTrigger::kViolation, epoch % 2, "r"));
+    if (epoch % 20 == 0) {
+      EXPECT_TRUE(obs::json_parse(flight.to_json()).is_object());
+    }
+  }
+  stop.store(true);
+  for (std::thread& t : shards) {
+    t.join();
+  }
+  const std::vector<obs::FlightBundle> bundles = flight.bundles();
+  ASSERT_EQ(bundles.size(), 4u);
+  EXPECT_EQ(bundles.back().sequence, 199u);
+  for (const obs::FlightBundle& b : bundles) {
+    EXPECT_EQ(b.events.size(), 64u);
+    EXPECT_TRUE(obs::json_parse(b.metrics_json).is_object());
+  }
+}
+
+// Deterministic work count: once every slot has been used, a dump with no
+// context provider and no new metric series copies raw values into
+// preallocated storage and allocates nothing. Counted by the operator-new
+// hook below, armed on this thread only around the call.
+thread_local bool t_count_allocs = false;
+thread_local uint64_t t_allocs = 0;
+
+TEST(ObsFlight, WarmDumpMakesNoHeapAllocations) {
+  obs::FlightConfig cfg;
+  cfg.shard_ring_capacity = 64;
+  cfg.max_bundles = 2;
+  obs::FlightRecorder flight(2, cfg);
+  obs::metrics().counter("flight_alloc_probe_total").inc();
+  obs::metrics().histogram("flight_alloc_probe_ns").record(42);
+  for (size_t shard = 0; shard < 2; ++shard) {
+    obs::EventTracer& ring = flight.shard_ring(shard);
+    const obs::EventKey k = ring.key("io_write", "pcnet");
+    for (uint64_t i = 0; i < 200; ++i) {  // full, wrapped rings
+      ring.record(obs::EventType::kIoAccess, k, i, i);
+    }
+  }
+  // Warm both slots.
+  flight.set_epoch(1);
+  ASSERT_TRUE(flight.dump(obs::FlightTrigger::kViolation, 0, "pcnet"));
+  ASSERT_TRUE(flight.dump(obs::FlightTrigger::kViolation, 1, "pcnet"));
+
+  flight.set_epoch(2);
+  t_allocs = 0;
+  t_count_allocs = true;
+  const bool dumped = flight.dump(obs::FlightTrigger::kViolation, 1, "pcnet");
+  t_count_allocs = false;
+  ASSERT_TRUE(dumped);
+  EXPECT_EQ(t_allocs, 0u);
+
+  // The hook does count: rendering a bundle allocates.
+  t_count_allocs = true;
+  const std::vector<obs::FlightBundle> bundles = flight.bundles();
+  t_count_allocs = false;
+  EXPECT_GT(t_allocs, 0u);
+  ASSERT_EQ(bundles.size(), 2u);
+  EXPECT_EQ(bundles.back().sequence, 2u);
+  EXPECT_EQ(bundles.back().events.size(), 64u);
 }
 
 // Prometheus exposition -----------------------------------------------------
@@ -630,3 +796,44 @@ TEST(ObsHistogramEdge, TopBucketOverflowSaturatesNotWraps) {
 
 }  // namespace
 }  // namespace sedspec
+
+// Replaceable global allocation functions for the allocation-count test
+// above. Every non-aligned form routes to malloc/free so the pairs stay
+// matched (sanitizer builds check that); counting is one thread-local load
+// unless armed.
+namespace {
+void* counted_alloc(std::size_t n) {
+  if (sedspec::t_count_allocs) {
+    ++sedspec::t_allocs;
+  }
+  if (void* p = std::malloc(n == 0 ? 1 : n)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+}  // namespace
+
+void* operator new(std::size_t n) { return counted_alloc(n); }
+void* operator new[](std::size_t n) { return counted_alloc(n); }
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  try {
+    return counted_alloc(n);
+  } catch (...) {
+    return nullptr;
+  }
+}
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+  try {
+    return counted_alloc(n);
+  } catch (...) {
+    return nullptr;
+  }
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
