@@ -1,5 +1,5 @@
 // BytecodeEngine implementation: spec -> flat bytecode compiler, structural
-// verifier, SEBC (de)serializer, and the threaded-code VM.
+// verifier, and the threaded-code VM.
 //
 // The compiler and VM are written against one contract: observational
 // identity with InterpreterEngine (and therefore expr/eval.cc). Comments
@@ -8,14 +8,11 @@
 #include "checker/engine/bytecode.h"
 
 #include <algorithm>
-#include <cstring>
 #include <map>
 #include <utility>
 #include <vector>
 
 #include "common/assert.h"
-#include "common/bytes.h"
-#include "common/crc32.h"
 #include "common/decode.h"
 #include "expr/type.h"
 #include "obs/trace.h"
@@ -96,52 +93,6 @@ bool expr_can_diag(const Expr& e) {
       return e.lhs != nullptr && expr_can_diag(*e.lhs);
   }
   return true;
-}
-
-/// Eligibility for the kBoundsBatch superinstruction. Batched statements
-/// evaluate ALL index/value expressions before the first store, so the
-/// expressions must be unaffected by the batch's own (in-bounds) buffer
-/// stores and must be unable to raise a diag: scalar params, I/O fields,
-/// constants, and diag-free combinators only.
-bool batch_expr_ok(const ExprRef& e, const sedspec::StateLayout& layout) {
-  if (e == nullptr) {
-    return false;
-  }
-  switch (e->kind) {
-    case ExprKind::kConst:
-    case ExprKind::kIoField:
-      return true;
-    case ExprKind::kParam:
-      return e->param < layout.field_count() &&
-             !layout.field(e->param).is_buffer();
-    case ExprKind::kLocal:
-    case ExprKind::kBufLoad:
-      return false;
-    case ExprKind::kUnary:
-      return (e->un_op == sedspec::UnaryOp::kBitNot ||
-              e->un_op == sedspec::UnaryOp::kLogicalNot) &&
-             batch_expr_ok(e->lhs, layout);
-    case ExprKind::kCast:
-      return batch_expr_ok(e->lhs, layout);
-    case ExprKind::kBinary:
-      switch (e->bin_op) {
-        case sedspec::BinaryOp::kAnd:
-        case sedspec::BinaryOp::kOr:
-        case sedspec::BinaryOp::kXor:
-        case sedspec::BinaryOp::kEq:
-        case sedspec::BinaryOp::kNe:
-        case sedspec::BinaryOp::kLt:
-        case sedspec::BinaryOp::kLe:
-        case sedspec::BinaryOp::kGt:
-        case sedspec::BinaryOp::kGe:
-        case sedspec::BinaryOp::kLAnd:
-        case sedspec::BinaryOp::kLOr:
-          return batch_expr_ok(e->lhs, layout) && batch_expr_ok(e->rhs, layout);
-        default:
-          return false;
-      }
-  }
-  return false;
 }
 
 class Compiler {
@@ -434,8 +385,8 @@ class Compiler {
 
   // --- statement compilation ---------------------------------------------
 
-  void compile_stmt(const Stmt& s, bool bounds, uint32_t meta) {
-    bool can_diag = bounds;
+  void compile_stmt(const Stmt& s, uint32_t meta) {
+    bool can_diag = false;
     switch (s.kind) {
       case StmtKind::kAssignParam: {
         SEDSPEC_REQUIRE(s.value != nullptr);
@@ -464,7 +415,7 @@ class Compiler {
                     .b = s.param});
         }
         free_reg(r);
-        can_diag = can_diag || expr_can_diag(*s.value);
+        can_diag = expr_can_diag(*s.value);
         break;
       }
       case StmtKind::kAssignLocal: {
@@ -474,11 +425,12 @@ class Compiler {
                   .a = r,
                   .b = s.local});
         free_reg(r);
-        can_diag = can_diag || expr_can_diag(*s.value);
+        can_diag = expr_can_diag(*s.value);
         break;
       }
       case StmtKind::kBufStore: {
         SEDSPEC_REQUIRE(s.index != nullptr && s.value != nullptr);
+        const bool bounds = index_is_state_derived(cfg_, s.index);
         const uint16_t ri = compile_expr(*s.index);
         const uint16_t rv = compile_expr(*s.value);
         emit(Insn{.op = static_cast<uint8_t>(Op::kBufStore),
@@ -489,11 +441,13 @@ class Compiler {
         free_reg(ri);
         free_reg(rv);
         can_diag =
-            can_diag || expr_can_diag(*s.index) || expr_can_diag(*s.value);
+            bounds || expr_can_diag(*s.index) || expr_can_diag(*s.value);
         break;
       }
       case StmtKind::kBufFill: {
         SEDSPEC_REQUIRE(s.index != nullptr && s.count != nullptr);
+        const bool bounds = index_is_state_derived(cfg_, s.index) ||
+                            index_is_state_derived(cfg_, s.count);
         const uint16_t ri = compile_expr(*s.index);
         const uint16_t rc = compile_expr(*s.count);
         emit(Insn{.op = static_cast<uint8_t>(Op::kBufFill),
@@ -504,7 +458,7 @@ class Compiler {
         free_reg(ri);
         free_reg(rc);
         can_diag =
-            can_diag || expr_can_diag(*s.index) || expr_can_diag(*s.count);
+            bounds || expr_can_diag(*s.index) || expr_can_diag(*s.count);
         break;
       }
     }
@@ -512,58 +466,6 @@ class Compiler {
       emit(Insn{.op = static_cast<uint8_t>(Op::kDiagCheck),
                 .b = static_cast<uint16_t>(meta),
                 .c = intern_note(s.note)});
-    }
-  }
-
-  /// True if statement `i` can open (or extend) a kBoundsBatch run.
-  [[nodiscard]] bool batch_eligible(const EsBlock& block,
-                                    const std::vector<uint8_t>& bounds,
-                                    size_t i) const {
-    const Stmt& s = block.dsod[i];
-    return s.kind == StmtKind::kBufStore && bounds[i] != 0 &&
-           s.param < layout_.field_count() &&
-           layout_.field(s.param).is_buffer() &&
-           batch_expr_ok(s.index, layout_) && batch_expr_ok(s.value, layout_);
-  }
-
-  void compile_batch(const EsBlock& block, size_t from, size_t run,
-                     uint32_t meta) {
-    // Evaluate every index/value first (eligible expressions cannot observe
-    // the batch's own in-bounds stores, so hoisting evaluation is sound),
-    // keeping all registers live across the batch.
-    std::vector<std::pair<uint16_t, uint16_t>> regs;
-    regs.reserve(run);
-    for (size_t j = from; j < from + run; ++j) {
-      const Stmt& s = block.dsod[j];
-      const uint16_t ri = compile_expr(*s.index);
-      const uint16_t rv = compile_expr(*s.value);
-      regs.emplace_back(ri, rv);
-    }
-    const size_t pool_off = p_.batch_pool.size();
-    SEDSPEC_REQUIRE(pool_off + run <= 0xffff);
-    for (size_t j = 0; j < run; ++j) {
-      const Stmt& s = block.dsod[from + j];
-      BatchEntry e;
-      e.idx_reg = regs[j].first;
-      e.val_reg = regs[j].second;
-      e.param = s.param;
-      e.limit = layout_.field(s.param).count;
-      p_.batch_pool.push_back(e);
-    }
-    const size_t bidx =
-        emit(Insn{.op = static_cast<uint8_t>(Op::kBoundsBatch),
-                  .a = static_cast<uint16_t>(pool_off),
-                  .b = static_cast<uint16_t>(run)});
-    // Slow path: the sequential statements, compiled immediately after the
-    // batch (interpreter-exact order and diagnostics).
-    p_.code[bidx].c = static_cast<uint32_t>(p_.code.size());
-    for (size_t j = from; j < from + run; ++j) {
-      compile_stmt(block.dsod[j], true, meta);
-    }
-    p_.code[bidx].imm = static_cast<uint32_t>(p_.code.size());  // join
-    for (const auto& [ri, rv] : regs) {
-      free_reg(ri);
-      free_reg(rv);
     }
   }
 
@@ -584,20 +486,10 @@ class Compiler {
         }
       });
     };
-    std::vector<uint8_t> bounds;
-    bounds.reserve(block.dsod.size());
     for (const Stmt& s : block.dsod) {
       collect(s.value);
       collect(s.index);
       collect(s.count);
-      bool b = false;
-      if (s.kind == StmtKind::kBufStore) {
-        b = index_is_state_derived(cfg_, s.index);
-      } else if (s.kind == StmtKind::kBufFill) {
-        b = index_is_state_derived(cfg_, s.index) ||
-            index_is_state_derived(cfg_, s.count);
-      }
-      bounds.push_back(b ? 1 : 0);
     }
     collect(block.guard);
     collect(block.cmd_expr);
@@ -610,20 +502,8 @@ class Compiler {
               .a = static_cast<uint16_t>(meta),
               .b = static_cast<uint16_t>(sync_off)});
 
-    // DSOD, batching runs of >= 2 eligible bounds-checked buffer stores.
-    for (size_t i = 0; i < block.dsod.size();) {
-      size_t run = 0;
-      while (i + run < block.dsod.size() &&
-             batch_eligible(block, bounds, i + run)) {
-        ++run;
-      }
-      if (run >= 2) {
-        compile_batch(block, i, run, meta);
-        i += run;
-        continue;
-      }
-      compile_stmt(block.dsod[i], bounds[i] != 0, meta);
-      ++i;
+    for (const Stmt& s : block.dsod) {
+      compile_stmt(s, meta);
     }
 
     // Terminator (NBTD).
@@ -933,7 +813,6 @@ namespace {
     case Op::kIndirect:
     case Op::kCmdEnd:
     case Op::kTrapUnmapped:
-    case Op::kBoundsBatch:
       return true;
     default:
       return false;
@@ -942,9 +821,8 @@ namespace {
 
 }  // namespace
 
-void verify_program(const BytecodeProgram& p, const sedspec::StateLayout& layout,
-                    size_t site_count) {
-  (void)site_count;  // sites are diagnostic data, not indices
+void verify_program(const BytecodeProgram& p,
+                    const sedspec::StateLayout& layout) {
   SEDSPEC_CHECK_DECODE(p.reg_count <= 0x10000, "register count out of range");
   SEDSPEC_CHECK_DECODE(!p.code.empty(), "empty code");
   SEDSPEC_CHECK_DECODE(p.code.size() < kPcMiss, "code too large");
@@ -1106,25 +984,6 @@ void verify_program(const BytecodeProgram& p, const sedspec::StateLayout& layout
                 static_cast<uint64_t>(ins.c) + ins.b <= layout.arena_size(),
             "scalar access outside arena");
         break;
-      case Op::kBoundsBatch: {
-        SEDSPEC_CHECK_DECODE(
-            static_cast<size_t>(ins.a) + ins.b <= p.batch_pool.size(),
-            "batch pool slice out of range");
-        check_pc(ins.c);
-        check_pc(static_cast<uint32_t>(ins.imm));
-        for (uint32_t i = 0; i < ins.b; ++i) {
-          const BatchEntry& e = p.batch_pool[ins.a + i];
-          check_reg(e.idx_reg);
-          check_reg(e.val_reg);
-          SEDSPEC_CHECK_DECODE(e.param < layout.field_count(),
-                               "batch param out of range");
-          SEDSPEC_CHECK_DECODE(layout.field(e.param).is_buffer(),
-                               "batch param not a buffer");
-          SEDSPEC_CHECK_DECODE(e.limit == layout.field(e.param).count,
-                               "batch limit != buffer element count");
-        }
-        break;
-      }
       default:
         SEDSPEC_CHECK_DECODE(false, "unknown opcode");
     }
@@ -1162,267 +1021,6 @@ void verify_program(const BytecodeProgram& p, const sedspec::StateLayout& layout
                            "entry target out of range");
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// Serialization ("SEBC" envelope, mirroring spec/serial.h's integrity chain).
-// ---------------------------------------------------------------------------
-
-std::vector<uint8_t> serialize(const BytecodeProgram& p) {
-  ByteWriter w;
-  w.str(p.device_name);
-  w.u32(p.reg_count);
-  w.u32(static_cast<uint32_t>(p.code.size()));
-  for (const Insn& ins : p.code) {
-    w.u8(ins.op);
-    w.u8(ins.t);
-    w.u16(ins.dst);
-    w.u16(ins.a);
-    w.u16(ins.b);
-    w.u32(ins.c);
-    w.u64(ins.imm);
-  }
-  w.u32(static_cast<uint32_t>(p.blocks.size()));
-  for (const BlockMeta& b : p.blocks) {
-    w.str(b.name);
-    w.u16(b.site);
-    w.u64(b.trained_max);
-    w.u64(b.visit_bound);
-  }
-  w.u32(static_cast<uint32_t>(p.notes.size()));
-  for (const std::string& n : p.notes) {
-    w.str(n);
-  }
-  w.u32(static_cast<uint32_t>(p.consts.size()));
-  for (const uint64_t v : p.consts) {
-    w.u64(v);
-  }
-  w.u32(static_cast<uint32_t>(p.sync_pool.size()));
-  for (const LocalId l : p.sync_pool) {
-    w.u16(l);
-  }
-  w.u32(static_cast<uint32_t>(p.tables.size()));
-  for (const DispatchTable& t : p.tables) {
-    w.u32(static_cast<uint32_t>(t.entries.size()));
-    for (const DispatchEntry& e : t.entries) {
-      w.u64(e.cmd);
-      w.u32(e.pc);
-      w.u32(e.access_idx);
-    }
-  }
-  w.u32(static_cast<uint32_t>(p.edges.size()));
-  for (const EdgeSet& s : p.edges) {
-    w.u8(s.kind);
-    w.u64(s.base);
-    w.u32(static_cast<uint32_t>(s.words.size()));
-    for (const uint64_t v : s.words) {
-      w.u64(v);
-    }
-    w.u32(static_cast<uint32_t>(s.sorted.size()));
-    for (const uint64_t v : s.sorted) {
-      w.u64(v);
-    }
-  }
-  w.u32(static_cast<uint32_t>(p.batch_pool.size()));
-  for (const BatchEntry& e : p.batch_pool) {
-    w.u16(e.idx_reg);
-    w.u16(e.val_reg);
-    w.u16(e.param);
-    w.u32(e.limit);
-  }
-  w.u32(static_cast<uint32_t>(p.cmd_values.size()));
-  for (const uint64_t v : p.cmd_values) {
-    w.u64(v);
-  }
-  w.u32(p.words_per_block);
-  w.u32(static_cast<uint32_t>(p.access_words.size()));
-  for (const uint64_t v : p.access_words) {
-    w.u64(v);
-  }
-  for (const EntryGroup& g : p.entry) {
-    w.u8(g.dense ? 1 : 0);
-    w.u64(g.base);
-    w.u32(static_cast<uint32_t>(g.table.size()));
-    for (const uint32_t v : g.table) {
-      w.u32(v);
-    }
-    w.u32(static_cast<uint32_t>(g.addrs.size()));
-    for (const uint64_t v : g.addrs) {
-      w.u64(v);
-    }
-    w.u32(static_cast<uint32_t>(g.pcs.size()));
-    for (const uint32_t v : g.pcs) {
-      w.u32(v);
-    }
-  }
-
-  const std::vector<uint8_t>& payload = w.bytes();
-  ByteWriter out;
-  out.u32(kBytecodeMagic);
-  out.u32(kBytecodeFormatVersion);
-  out.u32(static_cast<uint32_t>(payload.size()));
-  out.u32(crc32(payload));
-  std::vector<uint8_t> bytes = out.take();
-  bytes.insert(bytes.end(), payload.begin(), payload.end());
-  return bytes;
-}
-
-namespace {
-
-uint32_t get_u32_at(std::span<const uint8_t> bytes, size_t at) {
-  uint32_t v = 0;
-  std::memcpy(&v, bytes.data() + at, sizeof(v));
-  return v;
-}
-
-BytecodeProgram decode_payload(ByteReader& r) {
-  BytecodeProgram p;
-  p.device_name = r.str();
-  p.reg_count = r.u32();
-  const uint32_t code_count = r.u32();
-  for (uint32_t i = 0; i < code_count; ++i) {
-    Insn ins;
-    ins.op = r.u8();
-    ins.t = r.u8();
-    ins.dst = r.u16();
-    ins.a = r.u16();
-    ins.b = r.u16();
-    ins.c = r.u32();
-    ins.imm = r.u64();
-    p.code.push_back(ins);
-  }
-  const uint32_t block_count = r.u32();
-  for (uint32_t i = 0; i < block_count; ++i) {
-    BlockMeta b;
-    b.name = r.str();
-    b.site = r.u16();
-    b.trained_max = r.u64();
-    b.visit_bound = r.u64();
-    p.blocks.push_back(std::move(b));
-  }
-  const uint32_t note_count = r.u32();
-  for (uint32_t i = 0; i < note_count; ++i) {
-    p.notes.push_back(r.str());
-  }
-  const uint32_t const_count = r.u32();
-  for (uint32_t i = 0; i < const_count; ++i) {
-    p.consts.push_back(r.u64());
-  }
-  const uint32_t sync_count = r.u32();
-  for (uint32_t i = 0; i < sync_count; ++i) {
-    p.sync_pool.push_back(r.u16());
-  }
-  const uint32_t table_count = r.u32();
-  for (uint32_t i = 0; i < table_count; ++i) {
-    DispatchTable t;
-    const uint32_t entry_count = r.u32();
-    for (uint32_t j = 0; j < entry_count; ++j) {
-      DispatchEntry e;
-      e.cmd = r.u64();
-      e.pc = r.u32();
-      e.access_idx = r.u32();
-      t.entries.push_back(e);
-    }
-    p.tables.push_back(std::move(t));
-  }
-  const uint32_t edge_count = r.u32();
-  for (uint32_t i = 0; i < edge_count; ++i) {
-    EdgeSet s;
-    s.kind = r.u8();
-    SEDSPEC_CHECK_DECODE(s.kind <= EdgeSet::kSorted, "edge set kind invalid");
-    s.base = r.u64();
-    const uint32_t word_count = r.u32();
-    for (uint32_t j = 0; j < word_count; ++j) {
-      s.words.push_back(r.u64());
-    }
-    const uint32_t sorted_count = r.u32();
-    for (uint32_t j = 0; j < sorted_count; ++j) {
-      s.sorted.push_back(r.u64());
-    }
-    p.edges.push_back(std::move(s));
-  }
-  const uint32_t batch_count = r.u32();
-  for (uint32_t i = 0; i < batch_count; ++i) {
-    BatchEntry e;
-    e.idx_reg = r.u16();
-    e.val_reg = r.u16();
-    e.param = r.u16();
-    e.limit = r.u32();
-    p.batch_pool.push_back(e);
-  }
-  const uint32_t cmd_count = r.u32();
-  for (uint32_t i = 0; i < cmd_count; ++i) {
-    p.cmd_values.push_back(r.u64());
-  }
-  p.words_per_block = r.u32();
-  const uint32_t access_count = r.u32();
-  for (uint32_t i = 0; i < access_count; ++i) {
-    p.access_words.push_back(r.u64());
-  }
-  for (EntryGroup& g : p.entry) {
-    g.dense = r.u8() != 0;
-    g.base = r.u64();
-    const uint32_t table_size = r.u32();
-    for (uint32_t j = 0; j < table_size; ++j) {
-      g.table.push_back(r.u32());
-    }
-    const uint32_t addr_count = r.u32();
-    for (uint32_t j = 0; j < addr_count; ++j) {
-      g.addrs.push_back(r.u64());
-    }
-    const uint32_t pc_count = r.u32();
-    for (uint32_t j = 0; j < pc_count; ++j) {
-      g.pcs.push_back(r.u32());
-    }
-  }
-  return p;
-}
-
-}  // namespace
-
-BytecodeLoadResult load_program(std::span<const uint8_t> bytes) {
-  BytecodeLoadResult result;
-  if (bytes.size() < 16) {
-    result.error = {spec::LoadStatus::kTooShort,
-                    "buffer smaller than the SEBC envelope"};
-    return result;
-  }
-  const uint32_t magic = get_u32_at(bytes, 0);
-  if (magic != kBytecodeMagic) {
-    result.error = {spec::LoadStatus::kBadMagic,
-                    "not a bytecode-program artifact"};
-    return result;
-  }
-  const uint32_t version = get_u32_at(bytes, 4);
-  if (version != kBytecodeFormatVersion) {
-    result.error = {spec::LoadStatus::kVersionSkew,
-                    "bytecode format version " + std::to_string(version) +
-                        " (expected " +
-                        std::to_string(kBytecodeFormatVersion) + ")"};
-    return result;
-  }
-  const uint32_t payload_len = get_u32_at(bytes, 8);
-  if (payload_len != bytes.size() - 16) {
-    result.error = {spec::LoadStatus::kLengthMismatch,
-                    "envelope payload length does not match buffer"};
-    return result;
-  }
-  const std::span<const uint8_t> payload = bytes.subspan(16);
-  const uint32_t crc = get_u32_at(bytes, 12);
-  if (crc32(payload) != crc) {
-    result.error = {spec::LoadStatus::kCrcMismatch,
-                    "payload failed CRC32 integrity check"};
-    return result;
-  }
-  try {
-    ByteReader r(payload);
-    BytecodeProgram p = decode_payload(r);
-    SEDSPEC_CHECK_DECODE(r.done(), "trailing bytes after payload");
-    result.program = std::make_shared<const BytecodeProgram>(std::move(p));
-  } catch (const DecodeError& e) {
-    result.error = {spec::LoadStatus::kMalformed, e.what()};
-  }
-  return result;
 }
 
 // ---------------------------------------------------------------------------
@@ -1472,7 +1070,7 @@ inline void vm_binary(const Insn& ins, uint64_t* regs, EvalDiag& diag) {
   } else if constexpr (OP == BinaryOp::kSub) {
     out = arith(lv - rv);
   } else if constexpr (OP == BinaryOp::kMul) {
-    out = arith(lv * rv);
+    out = arith(sedspec::mul_value(lv, rv));
   } else if constexpr (OP == BinaryOp::kDiv || OP == BinaryOp::kMod) {
     if (rv == 0) {
       diag.record(EvalDiag::Kind::kDivByZero);
@@ -1492,6 +1090,7 @@ inline void vm_binary(const Insn& ins, uint64_t* regs, EvalDiag& diag) {
       diag.record(EvalDiag::Kind::kShiftOutOfRange);
       diag.type = res;
     }
+    // Cannot overflow: |lv| < 2^64 and the factor is at most 2^63.
     out = arith(lv * (static_cast<__int128>(1) << amount));
   } else if constexpr (OP == BinaryOp::kShr) {
     const uint64_t amount = static_cast<uint64_t>(rv) & 63;
@@ -1596,12 +1195,10 @@ BytecodeEngine::BytecodeEngine(std::shared_ptr<const BytecodeProgram> program,
 }
 
 void BytecodeEngine::attach() {
-  verify_program(*program_, device_->program().layout(),
-                 device_->program().site_count());
+  verify_program(*program_, device_->program().layout());
   regs_.assign(program_->reg_count, 0);
   visits_.assign(program_->blocks.size(), 0);
   visit_epoch_.assign(program_->blocks.size(), 0);
-  ic_.assign(program_->tables.size(), ICEntry{});
   // Pre-resolve scalar fields so guard operands skip the virtual param()
   // lookup; entries stay 0 (fallback) for buffers and oversized fields.
   const sedspec::StateLayout& layout = shadow_->layout();
@@ -1749,8 +1346,8 @@ CheckResult BytecodeEngine::check(const IoAccess& io,
       &&op_kEq,         &&op_kNe,         &&op_kLt,       &&op_kLe,
       &&op_kGt,         &&op_kGe,         &&op_kLAnd,     &&op_kLOr,
       &&op_kStoreParam, &&op_kStoreLocal, &&op_kBufStore, &&op_kBufFill,
-      &&op_kDiagCheck,  &&op_kBoundsBatch, &&op_kLoadScalar,
-      &&op_kStoreScalar, &&op_kStoreScalarImm,
+      &&op_kDiagCheck,  &&op_kLoadScalar,  &&op_kStoreScalar,
+      &&op_kStoreScalarImm,
   };
   static_assert(sizeof(kJumpTable) / sizeof(kJumpTable[0]) ==
                 static_cast<size_t>(Op::kOpCount));
@@ -1895,13 +1492,9 @@ vm_next:
     }
     const uint64_t cmd = regs[ins.a];
     const DispatchTable& table = p.tables[ins.b];
-    ICEntry& ic = ic_[ins.b];
     const DispatchEntry* e = nullptr;
-    if (ic.valid && ic.cmd == cmd) {
-      e = &table.entries[ic.entry];  // monomorphic inline-cache hit
-    } else if (!table.entries.empty()) {
-      const DispatchEntry* data = table.entries.data();
-      const DispatchEntry* base = data;
+    if (!table.entries.empty()) {
+      const DispatchEntry* base = table.entries.data();
       size_t n = table.entries.size();
       while (n > 1) {
         const size_t half = n / 2;
@@ -1910,9 +1503,6 @@ vm_next:
       }
       if (base->cmd == cmd) {
         e = base;
-        ic.valid = true;
-        ic.cmd = cmd;
-        ic.entry = static_cast<uint32_t>(base - data);
       }
     }
     if (e == nullptr) {
@@ -2201,28 +1791,6 @@ vm_next:
     const Insn& ins = code[pc];
     shadow_->store_scalar(ins.c, ins.b, ins.imm);
     VM_NEXT();
-  }
-
-  VM_CASE(kBoundsBatch) {
-    const Insn& ins = code[pc];
-    const BatchEntry* entries = p.batch_pool.data() + ins.a;
-    uint64_t ok = 1;
-    for (uint32_t i = 0; i < ins.b; ++i) {
-      // Branchless: unsigned compare, negative indices wrap high. For a
-      // limit equal to the buffer's element count this is exactly the
-      // arena's in-bounds predicate for single-element stores.
-      ok &= regs[entries[i].idx_reg] < entries[i].limit ? uint64_t{1}
-                                                        : uint64_t{0};
-    }
-    if (ok != 0) {
-      for (uint32_t i = 0; i < ins.b; ++i) {
-        shadow_->buf_store(static_cast<ParamId>(entries[i].param),
-                           regs[entries[i].idx_reg],
-                           regs[entries[i].val_reg], nullptr);
-      }
-      VM_GOTO(static_cast<uint32_t>(ins.imm));  // join
-    }
-    VM_GOTO(ins.c);  // sequential slow path (interpreter-exact diagnostics)
   }
 
 #ifndef SEDSPEC_VM_THREADED

@@ -4,9 +4,8 @@
 // flat, immutable BytecodeProgram: one contiguous Insn array executed by a
 // threaded-code VM (computed-goto dispatch on GCC/Clang, switch fallback),
 // plus side tables — block metadata, statement-note and constant pools,
-// command dispatch tables (sorted, inline-cached), indirect-jump edge sets
-// (dense bitmap or sorted array + branchless binary search), and batched
-// parameter-range-check pools over a flat layout.
+// sorted command dispatch tables, indirect-jump edge sets (dense bitmap or
+// sorted array + branchless binary search) and entry dispatch groups.
 //
 // Design contract: observational identity with InterpreterEngine. Every
 // evaluation quirk of expr/eval.cc (overflow/diag recording order, eager
@@ -16,30 +15,22 @@
 // (tests/check_engine_test.cc) holds both engines to identical CheckResults
 // across devices, the CVE matrix, and fuzzed specs.
 //
-// Programs are serializable ("SEBC" envelope: magic + version + length +
-// crc32, mirroring spec/serial.h) and re-verified against the attached
-// device's StateLayout/site count before execution: a truncated or
-// bit-flipped program is rejected with a structured error, and a
-// verified-but-garbled program may compute wrong results but can never
-// execute unsafely (all indices are range-checked at attach, the arena
-// clamps escapes, and internal inconsistencies throw CheckerFault into the
-// containment layer).
-//
-// Inline caches (one per command-dispatch table) live in the ENGINE, not
-// the program: a program is immutable and shareable, and redeploy
-// constructs a fresh engine, so caches are invalidated by construction.
+// Every program is re-verified against the attached device's StateLayout
+// before execution, whether it was just compiled or handed in precompiled:
+// a program that passes verify_program may compute wrong results if it is
+// garbled, but can never execute unsafely (all indices are range-checked at
+// attach, the arena clamps escapes, and internal inconsistencies throw
+// CheckerFault into the containment layer).
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "checker/engine/engine.h"
 #include "spec/es_cfg.h"
-#include "spec/serial.h"
 
 namespace sedspec::checker::engine {
 
@@ -53,7 +44,7 @@ enum class Op : uint8_t {
   kProlog,   // block entry: steps/watchdog/budget/visits/syncs/cmd-access
   kBranch,   // conditional NBTD on regs[a]
   kGuardCmpBranch,  // superinstruction: fused simple-operand compare + NBTD
-  kCmdDispatch,     // command decode dispatch (sorted table + inline cache)
+  kCmdDispatch,     // command decode dispatch (sorted table, binary search)
   kIndirect,        // indirect-jump edge-set membership check
   kCmdEnd,          // active command ends
   kTrapUnmapped,    // dangling trained successor: step accounting, then
@@ -80,7 +71,6 @@ enum class Op : uint8_t {
   kBufStore,     // shadow.buf_store(b, regs[a], regs[dst], t ? &diag : null)
   kBufFill,      // shadow.buf_fill(b, regs[a], regs[dst], t ? &diag : null)
   kDiagCheck,    // convert a pending stmt diag into a violation, reset
-  kBoundsBatch,  // batched param range checks: all-in-bounds fast path
 
   // Scalar-field superinstructions: the compiler resolves a scalar param's
   // byte offset/width against the layout at compile time (emitted only when
@@ -156,16 +146,6 @@ struct EdgeSet {
   [[nodiscard]] bool contains(uint64_t target) const;
 };
 
-/// One statement of a kBoundsBatch: index/value registers already computed,
-/// `regs[idx_reg] < limit` (branchless, unsigned — negative indices wrap
-/// high) proves the store in-bounds.
-struct BatchEntry {
-  uint16_t idx_reg = 0;
-  uint16_t val_reg = 0;
-  uint16_t param = 0;  // buffer field
-  uint32_t limit = 0;  // must equal the field's element count (verified)
-};
-
 /// Entry dispatch for one (space, is_write) group: dense direct table when
 /// the trained address span is small, otherwise sorted addresses +
 /// branchless lower-bound.
@@ -180,7 +160,7 @@ struct EntryGroup {
 inline constexpr uint32_t kPcMiss = 0xffffffff;
 
 /// The compiled, immutable program. Shareable across engines (each engine
-/// adds its own mutable state: registers, visit counters, inline caches).
+/// adds its own mutable state: registers, visit counters).
 struct BytecodeProgram {
   std::string device_name;
   uint32_t reg_count = 0;
@@ -191,7 +171,6 @@ struct BytecodeProgram {
   std::vector<sedspec::LocalId> sync_pool;
   std::vector<DispatchTable> tables;
   std::vector<EdgeSet> edges;
-  std::vector<BatchEntry> batch_pool;
   // Command access-control table: sorted command values; one bitset row of
   // words_per_block words per command, bit i = block i accessible.
   std::vector<uint64_t> cmd_values;
@@ -206,30 +185,14 @@ struct BytecodeProgram {
 [[nodiscard]] std::shared_ptr<const BytecodeProgram> compile_program(
     const spec::EsCfg& cfg, const Device& device, const CheckerConfig& config);
 
-/// Structural/memory-safety verifier: every register, pool index, jump
-/// target, param/local/type id is range-checked against the program's own
-/// tables and the attached device's layout + site count, and the last
+/// Structural/memory-safety verifier: every register, pool index and jump
+/// target is range-checked against the program's own tables, scalar
+/// superinstructions against the attached device's arena, and the last
 /// instruction must be a terminator. Throws common DecodeError on the first
 /// violation. A verified program executes memory-safely even if its results
 /// are garbage.
-void verify_program(const BytecodeProgram& p, const sedspec::StateLayout& layout,
-                    size_t site_count);
-
-inline constexpr uint32_t kBytecodeMagic = 0x43424553;  // "SEBC"
-inline constexpr uint32_t kBytecodeFormatVersion = 1;
-
-[[nodiscard]] std::vector<uint8_t> serialize(const BytecodeProgram& p);
-
-struct BytecodeLoadResult {
-  std::shared_ptr<const BytecodeProgram> program;
-  spec::LoadError error;
-  [[nodiscard]] bool ok() const { return program != nullptr; }
-};
-
-/// Structured, non-throwing load: integrity envelope first (magic, version,
-/// length, crc32), then structural decode. Corrupt input yields a
-/// LoadError; the program must still pass verify_program at attach.
-[[nodiscard]] BytecodeLoadResult load_program(std::span<const uint8_t> bytes);
+void verify_program(const BytecodeProgram& p,
+                    const sedspec::StateLayout& layout);
 
 class BytecodeEngine final : public CheckEngine {
  public:
@@ -237,8 +200,8 @@ class BytecodeEngine final : public CheckEngine {
   BytecodeEngine(const spec::EsCfg* cfg, Device* device,
                  sedspec::StateArena* shadow, const CheckerConfig* config);
 
-  /// Attach a precompiled (possibly deserialized) program. Runs
-  /// verify_program against the device before accepting it.
+  /// Attach a precompiled program. Runs verify_program against the device
+  /// before accepting it.
   BytecodeEngine(std::shared_ptr<const BytecodeProgram> program,
                  Device* device, sedspec::StateArena* shadow,
                  const CheckerConfig* config);
@@ -254,12 +217,6 @@ class BytecodeEngine final : public CheckEngine {
   [[nodiscard]] const BytecodeProgram& program() const { return *program_; }
 
  private:
-  struct ICEntry {  // per dispatch table; monomorphic hit skips the search
-    uint64_t cmd = 0;
-    uint32_t entry = 0;
-    bool valid = false;
-  };
-
   void attach();
   [[nodiscard]] uint32_t access_index_of(uint64_t cmd) const;
 
@@ -277,7 +234,6 @@ class BytecodeEngine final : public CheckEngine {
   bool active_has_ = false;
   uint64_t active_cmd_ = 0;
   uint32_t active_access_ = kNoAccess;
-  std::vector<ICEntry> ic_;  // one per dispatch table
 
   // Scalar-field fast path for guard operands, resolved from the *trusted*
   // layout (not the program) at attach() time: guard_w_[id] == 0 means "use

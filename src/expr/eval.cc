@@ -66,7 +66,7 @@ uint64_t eval_binary(const Expr& e, EvalCtx& ctx) {
     case BinaryOp::kSub:
       return arith(lv - rv);
     case BinaryOp::kMul:
-      return arith(lv * rv);
+      return arith(mul_value(lv, rv));
     case BinaryOp::kDiv:
       if (rv == 0) {
         if (ctx.checked && ctx.diag != nullptr) {
@@ -99,6 +99,7 @@ uint64_t eval_binary(const Expr& e, EvalCtx& ctx) {
         ctx.diag->record(EvalDiag::Kind::kShiftOutOfRange);
         ctx.diag->type = e.type;
       }
+      // Cannot overflow: |lv| < 2^64 and the factor is at most 2^63.
       return arith(lv * (static_cast<__int128>(1) << amount));
     }
     case BinaryOp::kShr: {

@@ -84,6 +84,23 @@ enum class IntType : uint8_t {
   return truncate_to(t, static_cast<uint64_t>(static_cast<unsigned __int128>(v)));
 }
 
+/// Product of two interpret()ed values (each in [-2^63, 2^64)), for
+/// evaluation. The true product can need 129 bits (u64 max * u64 max) and
+/// overflow __int128, which happens only when both factors are positive and
+/// the product reaches 2^127. Such a product is unrepresentable in every
+/// type above, so it comes back as 2^64 plus its low 64 bits:
+/// representable() is false and wrap_to() keeps the low bits, as C's
+/// unsigned multiply does. Every other product is exact, because the
+/// unsigned multiply wraps modulo 2^128 to the two's-complement product.
+[[nodiscard]] constexpr __int128 mul_value(__int128 a, __int128 b) {
+  const auto product =
+      static_cast<unsigned __int128>(a) * static_cast<unsigned __int128>(b);
+  if (a < 0 || b < 0 || product >> 127 == 0) {
+    return static_cast<__int128>(product);
+  }
+  return (static_cast<__int128>(1) << 64) | static_cast<uint64_t>(product);
+}
+
 [[nodiscard]] std::string type_name(IntType t);
 
 /// Type of an unsigned field with `size` bytes (1, 2, 4 or 8).

@@ -2,12 +2,12 @@
 // observationally identical to the reference interpreter — same violations
 // (including detail strings), same traversal step counts, same shadow-state
 // bytes, same exceptions — on every device, on hostile input, on the CVE
-// exploit matrix, and on fuzzed machine-generated specs. The serialized
-// SEBC artifact has the same integrity posture as the spec envelope:
-// truncation and corruption yield structured load errors, and a decoded
-// program must still pass the verifier before it can attach.
+// exploit matrix, and on fuzzed machine-generated specs. A precompiled
+// program must pass the verifier before it can attach, and a garbled one
+// that slips past it must still run memory-safely.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -30,6 +30,7 @@ using checker::CheckerFault;
 using checker::EngineKind;
 using checker::engine::BytecodeEngine;
 using checker::engine::CheckEngine;
+using checker::engine::Op;
 using checker::engine::RoundOptions;
 using checker::engine::make_engine;
 using namespace eb;  // expr builders: c/param/local/io/bin/un/cast
@@ -133,18 +134,21 @@ void run_lockstep(const spec::EsCfg& es, Device& device,
 // 1. Every device, benign recorded traffic + hostile random traffic.
 // ---------------------------------------------------------------------------
 
+std::string device_test_name(
+    const ::testing::TestParamInfo<std::string>& info) {
+  std::string name = info.param;
+  for (auto& ch : name) {
+    if (ch == '-') ch = '_';
+  }
+  return name;
+}
+
 class CheckEngineDifferential : public ::testing::TestWithParam<std::string> {
 };
 
 INSTANTIATE_TEST_SUITE_P(AllDevices, CheckEngineDifferential,
                          ::testing::ValuesIn(guest::workload_names()),
-                         [](const auto& info) {
-                           std::string name = info.param;
-                           for (auto& ch : name) {
-                             if (ch == '-') ch = '_';
-                           }
-                           return name;
-                         });
+                         device_test_name);
 
 TEST_P(CheckEngineDifferential, BenignStreamLockstep) {
   auto wl = guest::make_workload(GetParam());
@@ -190,6 +194,52 @@ TEST_P(CheckEngineDifferential, HostileStreamLockstep) {
     stream.push_back(io);
   }
   run_lockstep(es, wl->device(), stream, GetParam() + "/hostile");
+}
+
+// u64 products that overflow even __int128 (max * max) and shifts by 63:
+// both engines must flag the overflow and keep the same low 64 bits.
+TEST(CheckEngineDifferential2, WideArithmeticLockstep) {
+  auto wl = guest::make_workload("fdc");
+  Device& device = wl->device();
+  const StateLayout& layout = device.program().layout();
+  ParamId scalar = 0;
+  while (layout.field(scalar).is_buffer()) {
+    ++scalar;
+  }
+  const auto v = [] { return io_value(IntType::kU64); };
+  spec::EsCfg es;
+  es.device_name = device.name();
+  spec::EsBlock b;
+  b.site = 0;
+  b.name = "wide";
+  b.max_visits_per_round = 1;
+  b.kind = BlockKind::kConditional;
+  b.dsod.push_back(assign_local(0, mul(v(), v(), IntType::kU64)));
+  b.dsod.push_back(
+      assign_local(1, mul(c(UINT64_MAX), c(UINT64_MAX), IntType::kU64)));
+  b.dsod.push_back(assign_local(2, shl(v(), c(63), IntType::kU64)));
+  b.dsod.push_back(
+      assign(scalar, shl(v(), c(63, IntType::kI64), IntType::kI64)));
+  b.guard = bin(BinaryOp::kEq, mul(v(), v(), IntType::kU64), c(1),
+                IntType::kU64);
+  b.taken.observed = true;
+  b.taken.ends = true;
+  b.not_taken.observed = true;
+  b.not_taken.ends = true;
+  es.blocks[0] = std::move(b);
+  es.entry_dispatch[IoKey{IoSpace::kPio, 0, true}] = 0;
+
+  std::vector<IoAccess> stream;
+  Rng rng(0x63);
+  for (const uint64_t value : {UINT64_MAX, uint64_t{1} << 63,
+                               (uint64_t{1} << 32) + 1, uint64_t{1},
+                               uint64_t{0}, uint64_t{3} << 62}) {
+    stream.push_back(IoAccess{IoSpace::kPio, 0, 8, value, true});
+  }
+  for (int i = 0; i < 64; ++i) {
+    stream.push_back(IoAccess{IoSpace::kPio, 0, 8, rng.next_u64(), true});
+  }
+  run_lockstep(es, device, stream, "wide");
 }
 
 // ---------------------------------------------------------------------------
@@ -453,7 +503,7 @@ TEST(CheckEngineFuzz, RandomSpecsStayInLockstep) {
 }
 
 // ---------------------------------------------------------------------------
-// 4. SEBC serialization: round-trip fidelity and corruption containment.
+// 4. Precompiled programs: the verifier guards them at attach.
 // ---------------------------------------------------------------------------
 
 class CheckEngineSerial : public ::testing::Test {
@@ -463,89 +513,20 @@ class CheckEngineSerial : public ::testing::Test {
     es_ = pipeline::build_spec(wl_->device(), [&] { wl_->training(); });
     cfg_.engine = EngineKind::kBytecode;
     program_ = checker::engine::compile_program(es_, wl_->device(), cfg_);
-    bytes_ = checker::engine::serialize(*program_);
   }
 
   std::unique_ptr<guest::DeviceWorkload> wl_;
   spec::EsCfg es_;
   CheckerConfig cfg_;
   std::shared_ptr<const checker::engine::BytecodeProgram> program_;
-  std::vector<uint8_t> bytes_;
 };
-
-TEST_F(CheckEngineSerial, RoundTripRunsIdenticallyToFreshCompile) {
-  const auto loaded = checker::engine::load_program(bytes_);
-  ASSERT_TRUE(loaded.ok()) << loaded.error.describe();
-  ASSERT_EQ(loaded.program->code.size(), program_->code.size());
-  ASSERT_EQ(loaded.program->reg_count, program_->reg_count);
-  ASSERT_EQ(loaded.program->device_name, program_->device_name);
-
-  // A precompiled engine from the deserialized program must stay in
-  // lockstep with one compiled directly from the spec.
-  StateArena sa(&wl_->device().program().layout());
-  StateArena sb(&wl_->device().program().layout());
-  sa.copy_from(wl_->device().state());
-  sb.copy_from(wl_->device().state());
-  BytecodeEngine fresh(&es_, &wl_->device(), &sa, &cfg_);
-  BytecodeEngine canned(loaded.program, &wl_->device(), &sb, &cfg_);
-  Rng rng(99);
-  for (int i = 0; i < 200; ++i) {
-    IoAccess io;
-    io.space = IoSpace::kPio;
-    io.addr = rng.below(8);
-    io.size = 1;
-    io.value = rng.next_u64() & 0xff;
-    io.is_write = rng.below(2) == 0;
-    const RoundOutcome a = one_round(fresh, sa, io);
-    const RoundOutcome b = one_round(canned, sb, io);
-    expect_lockstep(a, b, sa, sb, "roundtrip round " + std::to_string(i));
-  }
-}
-
-TEST_F(CheckEngineSerial, TruncationYieldsStructuredError) {
-  const std::vector<size_t> cuts = {0,  1,  3,  7,  8,  15,
-                                    16, bytes_.size() / 2, bytes_.size() - 1};
-  for (const size_t cut : cuts) {
-    std::vector<uint8_t> t(bytes_.begin(),
-                           bytes_.begin() + static_cast<ptrdiff_t>(cut));
-    const auto r = checker::engine::load_program(t);
-    EXPECT_FALSE(r.ok()) << "cut=" << cut;
-    EXPECT_NE(r.error.status, spec::LoadStatus::kOk) << "cut=" << cut;
-  }
-}
-
-TEST_F(CheckEngineSerial, PayloadBitFlipsCaughtByCrc) {
-  Rng rng(0xc5c);
-  for (int i = 0; i < 32; ++i) {
-    std::vector<uint8_t> t = bytes_;
-    // Skip the 16-byte envelope: a payload flip must be a CRC mismatch.
-    const size_t at = 16 + rng.below(t.size() - 16);
-    t[at] ^= static_cast<uint8_t>(1u << rng.below(8));
-    const auto r = checker::engine::load_program(t);
-    ASSERT_FALSE(r.ok()) << "flip at " << at;
-    EXPECT_EQ(r.error.status, spec::LoadStatus::kCrcMismatch)
-        << "flip at " << at;
-  }
-}
-
-TEST_F(CheckEngineSerial, BadMagicAndVersionSkewRejected) {
-  std::vector<uint8_t> bad_magic = bytes_;
-  bad_magic[0] ^= 0xff;
-  EXPECT_EQ(checker::engine::load_program(bad_magic).error.status,
-            spec::LoadStatus::kBadMagic);
-  std::vector<uint8_t> skew = bytes_;
-  skew[4] ^= 0x04;  // format version word
-  EXPECT_EQ(checker::engine::load_program(skew).error.status,
-            spec::LoadStatus::kVersionSkew);
-}
 
 TEST_F(CheckEngineSerial, VerifierRejectsCorruptDecodedPrograms) {
   const StateLayout& layout = wl_->device().program().layout();
-  const size_t sites = wl_->device().program().site_count();
   const auto expect_reject = [&](auto mutate, const char* what) {
     checker::engine::BytecodeProgram p = *program_;
     mutate(p);
-    EXPECT_THROW(checker::engine::verify_program(p, layout, sites),
+    EXPECT_THROW(checker::engine::verify_program(p, layout),
                  DecodeError)
         << what;
   };
@@ -560,12 +541,9 @@ TEST_F(CheckEngineSerial, VerifierRejectsCorruptDecodedPrograms) {
       [&](auto& p) {
         // Find a scalar superinstruction and point it past the arena.
         for (auto& ins : p.code) {
-          if (ins.op == static_cast<uint8_t>(
-                            checker::engine::Op::kStoreScalarImm) ||
-              ins.op == static_cast<uint8_t>(
-                            checker::engine::Op::kLoadScalar) ||
-              ins.op == static_cast<uint8_t>(
-                            checker::engine::Op::kStoreScalar)) {
+          if (ins.op == static_cast<uint8_t>(Op::kStoreScalarImm) ||
+              ins.op == static_cast<uint8_t>(Op::kLoadScalar) ||
+              ins.op == static_cast<uint8_t>(Op::kStoreScalar)) {
             ins.c = 0x7fffffff;
             break;
           }
@@ -575,13 +553,13 @@ TEST_F(CheckEngineSerial, VerifierRejectsCorruptDecodedPrograms) {
 }
 
 // A verified-then-garbled program must never corrupt memory: flip fields
-// the verifier does NOT pin (param ids inside the generic ops' range, IC
-// seeds, visit bounds) and confirm the engine still contains the damage as
-// checker-level outcomes (violations / CheckerFault / logic_error), never
-// UB. Run under ASan/UBSan this is the memory-safety half of the claim.
+// the verifier does NOT pin (param ids inside the generic ops' range, type
+// and flag bytes, visit bounds) and confirm the engine still contains the
+// damage as checker-level outcomes (violations / CheckerFault /
+// logic_error), never UB. Run under ASan/UBSan this is the memory-safety
+// half of the claim.
 TEST_F(CheckEngineSerial, GarbledButVerifiableProgramsRunSafely) {
   const StateLayout& layout = wl_->device().program().layout();
-  const size_t sites = wl_->device().program().site_count();
   Rng rng(0xfeedface);
   int ran = 0;
   for (int iter = 0; iter < 200; ++iter) {
@@ -597,7 +575,7 @@ TEST_F(CheckEngineSerial, GarbledButVerifiableProgramsRunSafely) {
       }
     }
     try {
-      checker::engine::verify_program(p, layout, sites);
+      checker::engine::verify_program(p, layout);
     } catch (const DecodeError&) {
       continue;  // verifier caught it: that is also a pass
     }
@@ -628,6 +606,35 @@ TEST_F(CheckEngineSerial, PrecompiledEngineRejectsWrongDevice) {
   EXPECT_THROW(
       BytecodeEngine(program_, &other->device(), &shadow, &cfg_),
       std::logic_error);
+}
+
+// Each superinstruction the engine keeps earns several percent of engine
+// time on the shipped devices (EXPERIMENTS.md, "Engine diet"). Pin that the
+// compiler still emits them for every device spec, so a lowering change
+// cannot silently fall back to the generic ops.
+class CheckEngineProgram : public ::testing::TestWithParam<std::string> {};
+
+INSTANTIATE_TEST_SUITE_P(AllDevices, CheckEngineProgram,
+                         ::testing::ValuesIn(guest::workload_names()),
+                         device_test_name);
+
+TEST_P(CheckEngineProgram, ShippedSpecsEmitSuperinstructions) {
+  auto wl = guest::make_workload(GetParam());
+  const spec::EsCfg es =
+      pipeline::build_spec(wl->device(), [&] { wl->training(); });
+  const auto program =
+      checker::engine::compile_program(es, wl->device(), CheckerConfig{});
+  size_t count[static_cast<size_t>(Op::kOpCount)] = {};
+  for (const checker::engine::Insn& ins : program->code) {
+    ASSERT_LT(ins.op, static_cast<uint8_t>(Op::kOpCount));
+    ++count[ins.op];
+  }
+  const auto n = [&](Op op) { return count[static_cast<size_t>(op)]; };
+  EXPECT_GE(n(Op::kGuardCmpBranch), 1u);
+  EXPECT_GE(n(Op::kLoadScalar), 1u);
+  EXPECT_GE(n(Op::kStoreScalar) + n(Op::kStoreScalarImm), 1u);
+  EXPECT_NO_THROW(checker::engine::verify_program(
+      *program, wl->device().program().layout()));
 }
 
 // ---------------------------------------------------------------------------

@@ -209,15 +209,32 @@ TEST_P(EvalTypeSweep, WrapMatchesUncheckedAndFlagMatchesRange) {
     EXPECT_EQ(checked, unchecked);
     const __int128 va = interpret(t, ra);
     const __int128 vb = interpret(t, rb);
-    const __int128 truth = op == BinaryOp::kAdd   ? va + vb
-                           : op == BinaryOp::kSub ? va - vb
-                                                  : va * vb;
-    EXPECT_EQ(diag.kind == EvalDiag::Kind::kIntegerOverflow,
-              !representable(t, truth))
+    bool fits = false;
+    uint64_t wrapped = 0;
+    if (op == BinaryOp::kMul) {
+      // The true product can need 129 bits (u64 max * u64 max), past
+      // __int128, so the oracle multiplies magnitudes (each < 2^64, product
+      // < 2^128) and applies the sign separately.
+      const bool neg = (va < 0) != (vb < 0);
+      const auto mag = static_cast<unsigned __int128>(va < 0 ? -va : va) *
+                       static_cast<unsigned __int128>(vb < 0 ? -vb : vb);
+      const unsigned b = bits_of(t);
+      const unsigned __int128 limit =
+          is_signed(t) ? (static_cast<unsigned __int128>(1) << (b - 1)) -
+                             (neg ? 0 : 1)
+                       : (neg ? 0
+                              : (static_cast<unsigned __int128>(1) << b) - 1);
+      fits = mag <= limit;
+      wrapped = truncate_to(t, static_cast<uint64_t>(neg ? -mag : mag));
+    } else {
+      const __int128 truth = op == BinaryOp::kAdd ? va + vb : va - vb;
+      fits = representable(t, truth);
+      // The wrapped result must be congruent to the truth modulo 2^bits.
+      wrapped = wrap_to(t, truth);
+    }
+    EXPECT_EQ(diag.kind == EvalDiag::Kind::kIntegerOverflow, !fits)
         << type_name(t) << " " << ra << " op " << rb;
-    // The wrapped result re-interpreted must be congruent to the truth
-    // modulo 2^bits.
-    EXPECT_EQ(wrap_to(t, truth), checked);
+    EXPECT_EQ(wrapped, checked);
   }
 }
 
