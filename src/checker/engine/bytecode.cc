@@ -179,10 +179,6 @@ class Compiler {
       meta.name = block.name;
       meta.site = site;
       meta.trained_max = block.max_visits_per_round;
-      meta.visit_bound =
-          std::max<uint64_t>(config_.visit_slack_min,
-                             block.max_visits_per_round *
-                                 config_.visit_slack_multiplier);
       p_.blocks.push_back(std::move(meta));
     }
   }
@@ -259,7 +255,7 @@ class Compiler {
     }
     const sedspec::FieldDesc& f =
         layout_.field(static_cast<ParamId>(param));
-    if (f.is_buffer() || f.size == 0 || f.size > 8) {
+    if (f.is_buffer() || !sedspec::StateArena::is_scalar_width(f.size)) {
       return nullptr;
     }
     return &f;
@@ -497,10 +493,15 @@ class Compiler {
     const size_t sync_off = p_.sync_pool.size();
     SEDSPEC_REQUIRE(sync_off + syncs.size() <= 0xffff);
     p_.sync_pool.insert(p_.sync_pool.end(), syncs.begin(), syncs.end());
+    // The slack-adjusted visit bound rides in imm so a clean visit never
+    // touches BlockMeta (it is read only to report a violation).
     emit(Insn{.op = static_cast<uint8_t>(Op::kProlog),
               .dst = static_cast<uint16_t>(syncs.size()),
               .a = static_cast<uint16_t>(meta),
-              .b = static_cast<uint16_t>(sync_off)});
+              .b = static_cast<uint16_t>(sync_off),
+              .imm = std::max<uint64_t>(config_.visit_slack_min,
+                                        block.max_visits_per_round *
+                                            config_.visit_slack_multiplier)});
 
     for (const Stmt& s : block.dsod) {
       compile_stmt(s, meta);
@@ -846,6 +847,14 @@ void verify_program(const BytecodeProgram& p,
   const auto check_pc = [&](uint32_t pc) {
     SEDSPEC_CHECK_DECODE(pc < p.code.size(), "jump target out of range");
   };
+  // Scalar superinstructions: b = width, c = byte offset.
+  const auto check_scalar = [&](const Insn& ins) {
+    SEDSPEC_CHECK_DECODE(sedspec::StateArena::is_scalar_width(ins.b),
+                         "scalar width invalid");
+    SEDSPEC_CHECK_DECODE(
+        static_cast<uint64_t>(ins.c) + ins.b <= layout.arena_size(),
+        "scalar access outside arena");
+  };
 
   for (const Insn& ins : p.code) {
     switch (static_cast<Op>(ins.op)) {
@@ -966,23 +975,14 @@ void verify_program(const BytecodeProgram& p,
         break;
       case Op::kLoadScalar:
         check_reg(ins.dst);
-        SEDSPEC_CHECK_DECODE(
-            ins.b >= 1 && ins.b <= 8 &&
-                static_cast<uint64_t>(ins.c) + ins.b <= layout.arena_size(),
-            "scalar access outside arena");
+        check_scalar(ins);
         break;
       case Op::kStoreScalar:
         check_reg(ins.a);
-        SEDSPEC_CHECK_DECODE(
-            ins.b >= 1 && ins.b <= 8 &&
-                static_cast<uint64_t>(ins.c) + ins.b <= layout.arena_size(),
-            "scalar access outside arena");
+        check_scalar(ins);
         break;
       case Op::kStoreScalarImm:
-        SEDSPEC_CHECK_DECODE(
-            ins.b >= 1 && ins.b <= 8 &&
-                static_cast<uint64_t>(ins.c) + ins.b <= layout.arena_size(),
-            "scalar access outside arena");
+        check_scalar(ins);
         break;
       default:
         SEDSPEC_CHECK_DECODE(false, "unknown opcode");
@@ -1035,7 +1035,7 @@ using sedspec::IoField;
 
 /// Raw 64-bit two's-complement pattern of an operand's interpreted value
 /// (eval.cc's pattern_of).
-inline uint64_t vm_pattern(IntType t, uint64_t raw) {
+[[gnu::always_inline]] inline uint64_t vm_pattern(IntType t, uint64_t raw) {
   return static_cast<uint64_t>(
       static_cast<unsigned __int128>(sedspec::interpret(t, raw)));
 }
@@ -1043,9 +1043,11 @@ inline uint64_t vm_pattern(IntType t, uint64_t raw) {
 /// One binary AST node, replicating eval_binary() exactly — including the
 /// overflow-recording order, eager &&/||, raw (untruncated) comparison
 /// results, and the shift-range rule. Instantiated once per operator so the
-/// per-opcode VM labels stay free of a second dispatch.
+/// per-opcode VM labels stay free of a second dispatch. Forced inline, as
+/// GCC would otherwise call some instantiations out of line.
 template <sedspec::BinaryOp OP>
-inline void vm_binary(const Insn& ins, uint64_t* regs, EvalDiag& diag) {
+[[gnu::always_inline]] inline void vm_binary(const Insn& ins, uint64_t* regs,
+                                             EvalDiag& diag) {
   using sedspec::BinaryOp;
   const auto res = static_cast<IntType>(ins.c & 7);
   const auto lt = static_cast<IntType>((ins.c >> 8) & 7);
@@ -1122,11 +1124,12 @@ inline void vm_binary(const Insn& ins, uint64_t* regs, EvalDiag& diag) {
 /// kGuardCmpBranch operand fetch + interpret. Matches an interpreter round
 /// that evaluated the operand expression then interpreted it with its
 /// declared type (interpret() truncates first, so the compose is exact).
-inline __int128 vm_guard_operand(const BytecodeProgram& p,
-                                 const sedspec::StateArena& shadow,
-                                 const IoAccess& io, uint16_t spec,
-                                 const uint32_t* scalar_off,
-                                 const uint8_t* scalar_w, size_t scalar_n) {
+/// Forced inline: it runs twice per kGuardCmpBranch, and GCC otherwise
+/// calls it out of line from the VM.
+[[gnu::always_inline]] inline __int128 vm_guard_operand(
+    const BytecodeProgram& p, const sedspec::StateArena& shadow,
+    const IoAccess& io, uint16_t spec, const uint32_t* scalar_off,
+    const uint8_t* scalar_w, size_t scalar_n) {
   const unsigned kind = spec >> 14;
   const auto t = static_cast<IntType>((spec >> 11) & 7);
   const uint16_t id = spec & 0x7ff;
@@ -1200,13 +1203,14 @@ void BytecodeEngine::attach() {
   visits_.assign(program_->blocks.size(), 0);
   visit_epoch_.assign(program_->blocks.size(), 0);
   // Pre-resolve scalar fields so guard operands skip the virtual param()
-  // lookup; entries stay 0 (fallback) for buffers and oversized fields.
+  // lookup; entries stay 0 (fallback) for buffers and any width
+  // load_scalar() does not take.
   const sedspec::StateLayout& layout = shadow_->layout();
   guard_off_.assign(layout.field_count(), 0);
   guard_w_.assign(layout.field_count(), 0);
   for (size_t i = 0; i < layout.field_count(); ++i) {
     const sedspec::FieldDesc& f = layout.field(static_cast<ParamId>(i));
-    if (!f.is_buffer() && f.size >= 1 && f.size <= 8) {
+    if (!f.is_buffer() && sedspec::StateArena::is_scalar_width(f.size)) {
       guard_off_[i] = f.offset;
       guard_w_[i] = static_cast<uint8_t>(f.size);
     }
@@ -1222,22 +1226,9 @@ uint32_t BytecodeEngine::access_index_of(uint64_t cmd) const {
   return static_cast<uint32_t>(it - program_->cmd_values.begin());
 }
 
-std::optional<uint64_t> BytecodeEngine::active_command() const {
-  if (!active_has_) {
-    return std::nullopt;
-  }
-  return active_cmd_;
-}
-
 void BytecodeEngine::set_active_command(std::optional<uint64_t> cmd) {
-  if (!cmd.has_value()) {
-    active_has_ = false;
-    active_access_ = kNoAccess;
-    return;
-  }
-  active_has_ = true;
-  active_cmd_ = *cmd;
-  active_access_ = access_index_of(*cmd);
+  active_cmd_ = cmd;
+  active_access_ = cmd.has_value() ? access_index_of(*cmd) : kNoAccess;
 }
 
 // Threaded-code dispatch on GCC/Clang (computed goto); portable switch
@@ -1276,8 +1267,7 @@ void BytecodeEngine::set_active_command(std::optional<uint64_t> cmd) {
 
 CheckResult BytecodeEngine::check(const IoAccess& io,
                                   const RoundOptions& opts) {
-  CheckResult result;
-  std::vector<Violation> viols;
+  CheckResult result;  // NRVO: add() appends violations to it directly
   const BytecodeProgram& p = *program_;
   const Insn* code = p.code.data();
   uint64_t* regs = regs_.data();
@@ -1292,13 +1282,19 @@ CheckResult BytecodeEngine::check(const IoAccess& io,
   ++epoch_;
   const uint64_t watchdog =
       std::max(config_->watchdog_steps, config_->max_steps + 1);
+  // One compare per step covers both the watchdog and the budget: without
+  // suppression the budget stops the walk first (the min only matters if
+  // max_steps + 1 wrapped), with it only the watchdog can.
+  const uint64_t step_limit = opts.suppress_termination
+                                  ? watchdog
+                                  : std::min(config_->max_steps, watchdog);
   // Invariant: the diag is clean at statement/block boundaries; a contained
   // logic_error mid-statement can leave it dirty, so reset per round.
   diag_ = EvalDiag{};
   uint64_t steps = 0;
 
   const auto add = [&](Strategy s, SiteId site, std::string detail) {
-    viols.push_back(Violation{s, site, std::move(detail)});
+    result.violations.push_back(Violation{s, site, std::move(detail)});
   };
 
   // Entry dispatch (paper §V-A): dense table or branchless lower-bound per
@@ -1330,7 +1326,6 @@ CheckResult BytecodeEngine::check(const IoAccess& io,
       add(Strategy::kConditionalJump, sedspec::kInvalidSite,
           detail::untrained_io(io));
     }
-    result.violations = std::move(viols);
     return result;
   }
 
@@ -1363,21 +1358,21 @@ vm_next:
 
   VM_CASE(kProlog) {
     const Insn& ins = code[pc];
-    const BlockMeta& meta = p.blocks[ins.a];
     // Interpreter-exact per-visit order: step accounting, watchdog, budget,
     // step event, visit bound, sync resolution, command-access check.
-    ++steps;
-    if (steps > watchdog) {
-      throw CheckerFault(detail::watchdog_tripped(steps));
-    }
-    if (steps > config_->max_steps && !opts.suppress_termination) {
+    // BlockMeta is read only to report a violation or a verbose step event.
+    if (++steps > step_limit) {
+      if (steps > watchdog) {
+        throw CheckerFault(detail::watchdog_tripped(steps));
+      }
       if (cond_on) {
-        add(Strategy::kConditionalJump, meta.site,
+        add(Strategy::kConditionalJump, p.blocks[ins.a].site,
             std::string(detail::kBudgetExceeded));
       }
       goto vm_done;
     }
     if (step_events) {
+      const BlockMeta& meta = p.blocks[ins.a];
       tr->record(obs::EventType::kTraversalStep, "traversal_step",
                  p.device_name, meta.name, meta.site);
     }
@@ -1385,8 +1380,9 @@ vm_next:
       visit_epoch_[ins.a] = epoch_;
       visits_[ins.a] = 0;
     }
-    if (++visits_[ins.a] > meta.visit_bound && !opts.suppress_termination) {
+    if (++visits_[ins.a] > ins.imm && !opts.suppress_termination) {
       if (cond_on) {
+        const BlockMeta& meta = p.blocks[ins.a];
         add(Strategy::kConditionalJump, meta.site,
             detail::visit_bound(meta.name, visits_[ins.a], meta.trained_max));
       }
@@ -1398,14 +1394,15 @@ vm_next:
         shadow_->set_local(l, *v);
       }
     }
-    if (active_has_ && cond_on && active_access_ != kNoAccess) {
+    if (active_access_ != kNoAccess && cond_on) {
       const uint64_t word =
           p.access_words[static_cast<size_t>(active_access_) *
                              p.words_per_block +
                          (ins.a >> 6)];
       if (((word >> (ins.a & 63)) & 1) == 0) {
+        const BlockMeta& meta = p.blocks[ins.a];
         add(Strategy::kConditionalJump, meta.site,
-            detail::cmd_access(meta.name, active_cmd_));
+            detail::cmd_access(meta.name, *active_cmd_));
       }
     }
     VM_NEXT();
@@ -1512,7 +1509,6 @@ vm_next:
       }
       goto vm_done;  // untrained command; the latch is NOT set
     }
-    active_has_ = true;
     active_cmd_ = cmd;
     active_access_ = e->access_idx;
     VM_GOTO(e->pc);
@@ -1530,7 +1526,7 @@ vm_next:
   }
 
   VM_CASE(kCmdEnd) {
-    active_has_ = false;
+    active_cmd_.reset();
     active_access_ = kNoAccess;
     VM_GOTO(static_cast<uint32_t>(code[pc].imm));
   }
@@ -1539,11 +1535,10 @@ vm_next:
     // A trained successor that is not a mapped block. The interpreter walks
     // onto it and only then faults — after step/watchdog/budget accounting.
     const Insn& ins = code[pc];
-    ++steps;
-    if (steps > watchdog) {
-      throw CheckerFault(detail::watchdog_tripped(steps));
-    }
-    if (steps > config_->max_steps && !opts.suppress_termination) {
+    if (++steps > step_limit) {
+      if (steps > watchdog) {
+        throw CheckerFault(detail::watchdog_tripped(steps));
+      }
       if (cond_on) {
         add(Strategy::kConditionalJump, static_cast<SiteId>(ins.c),
             std::string(detail::kBudgetExceeded));
@@ -1800,7 +1795,6 @@ vm_next:
 #endif
 
 vm_done:
-  result.violations = std::move(viols);
   result.steps = steps;
   return result;
 }

@@ -42,6 +42,7 @@ enum class Op : uint8_t {
   kEnd = 0,  // round complete (code[0] is always kEnd: jump target 0 = end)
   kJump,     // pc = c
   kProlog,   // block entry: steps/watchdog/budget/visits/syncs/cmd-access
+             // (a = block meta, b/dst = sync-pool slice, imm = visit bound)
   kBranch,   // conditional NBTD on regs[a]
   kGuardCmpBranch,  // superinstruction: fused simple-operand compare + NBTD
   kCmdDispatch,     // command decode dispatch (sorted table, binary search)
@@ -76,8 +77,8 @@ enum class Op : uint8_t {
   // byte offset/width against the layout at compile time (emitted only when
   // the id is a valid scalar — invalid ids keep the generic ops so the
   // arena's runtime containment behavior is engine-identical). The verifier
-  // bounds-checks offset+width against the arena, so even a garbled program
-  // stays inside arena memory.
+  // pins the width to 1, 2, 4 or 8 and bounds-checks offset+width against
+  // the arena, so even a garbled program stays inside arena memory.
   kLoadScalar,      // dst = truncate(t, load_raw(c, b))      (b=width, c=off)
   kStoreScalar,     // store_raw(c, b, truncate(t, regs[a]))  (t=field type)
   kStoreScalarImm,  // store_raw(c, b, imm)  (imm pre-truncated at compile)
@@ -122,7 +123,6 @@ struct BlockMeta {
   std::string name;
   SiteId site = sedspec::kInvalidSite;
   uint64_t trained_max = 0;  // block.max_visits_per_round (for the message)
-  uint64_t visit_bound = 0;  // slack-adjusted cap baked in at compile time
 };
 
 struct DispatchEntry {
@@ -209,7 +209,9 @@ class BytecodeEngine final : public CheckEngine {
   [[nodiscard]] CheckResult check(const IoAccess& io,
                                   const RoundOptions& opts) override;
 
-  [[nodiscard]] std::optional<uint64_t> active_command() const override;
+  [[nodiscard]] std::optional<uint64_t> active_command() const override {
+    return active_cmd_;
+  }
   void set_active_command(std::optional<uint64_t> cmd) override;
 
   [[nodiscard]] std::string_view name() const override { return "bytecode"; }
@@ -231,13 +233,16 @@ class BytecodeEngine final : public CheckEngine {
   std::vector<uint64_t> visit_epoch_;
   uint64_t epoch_ = 0;
   sedspec::EvalDiag diag_;  // clean at statement boundaries
-  bool active_has_ = false;
-  uint64_t active_cmd_ = 0;
+  // Command latch, kept as the optional active_command() returns so the
+  // per-round snapshot is a plain copy. active_access_ is its row in the
+  // command-access table (kNoAccess when unset or untabled).
+  std::optional<uint64_t> active_cmd_;
   uint32_t active_access_ = kNoAccess;
 
   // Scalar-field fast path for guard operands, resolved from the *trusted*
-  // layout (not the program) at attach() time: guard_w_[id] == 0 means "use
-  // the generic StateArena::param() path" (buffer, oversized, or garbled id).
+  // layout (not the program) at attach() time: guard_w_[id] is 1, 2, 4 or 8,
+  // or 0 for "use the generic StateArena::param() path" (buffer or garbled
+  // id).
   std::vector<uint32_t> guard_off_;
   std::vector<uint8_t> guard_w_;
 };

@@ -24,11 +24,15 @@ enum class IntType : uint8_t {
   kI64,
 };
 
-[[nodiscard]] constexpr bool is_signed(IntType t) {
+// The helpers below sit on the check VM's hot path (one or more per
+// opcode). They are forced inline: left to its heuristics, GCC emits
+// out-of-line calls to interpret() from the large VM function.
+
+[[nodiscard, gnu::always_inline]] constexpr bool is_signed(IntType t) {
   return t >= IntType::kI8;
 }
 
-[[nodiscard]] constexpr unsigned bits_of(IntType t) {
+[[nodiscard, gnu::always_inline]] constexpr unsigned bits_of(IntType t) {
   switch (t) {
     case IntType::kU8:
     case IntType::kI8:
@@ -47,7 +51,8 @@ enum class IntType : uint8_t {
 }
 
 /// Truncates a raw 64-bit pattern to the width of `t` (wrap semantics).
-[[nodiscard]] constexpr uint64_t truncate_to(IntType t, uint64_t raw) {
+[[nodiscard, gnu::always_inline]] constexpr uint64_t truncate_to(
+    IntType t, uint64_t raw) {
   const unsigned b = bits_of(t);
   if (b == 64) return raw;
   return raw & ((uint64_t{1} << b) - 1);
@@ -55,7 +60,8 @@ enum class IntType : uint8_t {
 
 /// Interprets a raw (already truncated) pattern as the mathematical value of
 /// type `t`, widened to a signed 128-bit integer.
-[[nodiscard]] constexpr __int128 interpret(IntType t, uint64_t raw) {
+[[nodiscard, gnu::always_inline]] constexpr __int128 interpret(
+    IntType t, uint64_t raw) {
   const uint64_t v = truncate_to(t, raw);
   if (!is_signed(t)) return static_cast<__int128>(v);
   const unsigned b = bits_of(t);
@@ -68,7 +74,8 @@ enum class IntType : uint8_t {
 }
 
 /// True if the mathematical value `v` is representable in type `t`.
-[[nodiscard]] constexpr bool representable(IntType t, __int128 v) {
+[[nodiscard, gnu::always_inline]] constexpr bool representable(
+    IntType t, __int128 v) {
   const unsigned b = bits_of(t);
   if (is_signed(t)) {
     const __int128 lo = -(static_cast<__int128>(1) << (b - 1));
@@ -80,7 +87,8 @@ enum class IntType : uint8_t {
 }
 
 /// Wraps the mathematical value `v` into the raw bit pattern of type `t`.
-[[nodiscard]] constexpr uint64_t wrap_to(IntType t, __int128 v) {
+[[nodiscard, gnu::always_inline]] constexpr uint64_t wrap_to(
+    IntType t, __int128 v) {
   return truncate_to(t, static_cast<uint64_t>(static_cast<unsigned __int128>(v)));
 }
 

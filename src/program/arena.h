@@ -71,19 +71,51 @@ class StateArena final : public StateAccess {
   [[nodiscard]] uint64_t get(ParamId id) const { return param(id); }
   void set(ParamId id, uint64_t raw) { set_param(id, raw); }
 
+  /// The only scalar widths StateLayout::add_scalar()/add_funcptr() create.
+  [[nodiscard]] static constexpr bool is_scalar_width(uint32_t size) {
+    return size == 1 || size == 2 || size == 4 || size == 8;
+  }
+
   /// Pre-resolved scalar access for the compiled check engine: offset/size
   /// come from this layout's own FieldDesc and are re-verified against
   /// arena_size() when a bytecode program attaches, so the per-access field
   /// lookup is skipped. Bytes are little-endian raw, exactly as param()/
   /// set_param() read and write scalar fields (the caller applies the
   /// field-type truncation set_param() would).
+  ///
+  /// `size` must satisfy is_scalar_width() (the bytecode verifier rejects
+  /// any other). Each width is a fixed-size memcpy, which compiles to a
+  /// single unaligned-safe mov; a runtime-sized one is a libc call through
+  /// a stack slot.
   [[nodiscard]] uint64_t load_scalar(uint32_t offset, uint32_t size) const {
-    uint64_t v = 0;
-    std::memcpy(&v, bytes_.data() + offset, size);
-    return v;
+    const uint8_t* src = bytes_.data() + offset;
+    switch (size) {
+      case 1:
+        return *src;
+      case 2:
+        return load_fixed<uint16_t>(src);
+      case 4:
+        return load_fixed<uint32_t>(src);
+      default:
+        return load_fixed<uint64_t>(src);
+    }
   }
   void store_scalar(uint32_t offset, uint32_t size, uint64_t raw) {
-    std::memcpy(bytes_.data() + offset, &raw, size);
+    uint8_t* dst = bytes_.data() + offset;
+    switch (size) {
+      case 1:
+        *dst = static_cast<uint8_t>(raw);
+        break;
+      case 2:
+        store_fixed(dst, static_cast<uint16_t>(raw));
+        break;
+      case 4:
+        store_fixed(dst, static_cast<uint32_t>(raw));
+        break;
+      default:
+        store_fixed(dst, raw);
+        break;
+    }
   }
 
  private:
@@ -104,6 +136,18 @@ class StateArena final : public StateAccess {
 
   [[nodiscard]] uint64_t load_raw(uint32_t offset, uint32_t size) const;
   void store_raw(uint32_t offset, uint32_t size, uint64_t raw);
+
+  // Little-endian host, as load_raw()/store_raw() assume.
+  template <typename T>
+  [[nodiscard]] static T load_fixed(const uint8_t* src) {
+    T v = 0;
+    std::memcpy(&v, src, sizeof v);
+    return v;
+  }
+  template <typename T>
+  static void store_fixed(uint8_t* dst, T v) {
+    std::memcpy(dst, &v, sizeof v);
+  }
 
   const StateLayout* layout_;
   std::vector<uint8_t> bytes_;

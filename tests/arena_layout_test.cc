@@ -2,6 +2,12 @@
 // adjacent-field-corruption semantics every exploit model relies on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
+#include "guest/workload.h"
 #include "program/arena.h"
 #include "program/layout.h"
 
@@ -143,6 +149,79 @@ TEST(Arena, CopyFromMirrorsBytes) {
   b.arena->copy_from(*a.arena);
   EXPECT_EQ(b.arena->param(b.before), 7u);
   EXPECT_EQ(b.arena->buf_peek(b.buf, 2), 0x33u);
+}
+
+// Fills every byte of `arena` that a field covers with random data.
+void scramble(StateArena& arena, Rng& rng) {
+  const StateLayout& layout = arena.layout();
+  for (ParamId id = 0; id < layout.field_count(); ++id) {
+    if (layout.field(id).is_buffer()) {
+      for (uint8_t& b : arena.buffer_span(id)) {
+        b = static_cast<uint8_t>(rng.next_u64());
+      }
+    } else {
+      arena.set_param(id, rng.next_u64());
+    }
+  }
+}
+
+// The bytecode engine's load_scalar()/store_scalar() skip the field
+// lookup of param()/set_param(); on every scalar and function-pointer
+// field they must read and write exactly the same bytes.
+void expect_scalar_accessors_match_param(const StateLayout& layout,
+                                         const std::string& ctx) {
+  Rng rng(0x5ca1a7);
+  StateArena arena(&layout);
+  size_t checked = 0;
+  for (ParamId id = 0; id < layout.field_count(); ++id) {
+    const FieldDesc& f = layout.field(id);
+    if (f.is_buffer()) {
+      continue;
+    }
+    ASSERT_TRUE(StateArena::is_scalar_width(f.size)) << ctx << " " << f.name;
+    for (int rep = 0; rep < 4; ++rep) {
+      scramble(arena, rng);
+      EXPECT_EQ(arena.load_scalar(f.offset, f.size), arena.param(id))
+          << ctx << " " << f.name;
+
+      const std::vector<uint8_t> before(arena.bytes().begin(),
+                                        arena.bytes().end());
+      const uint64_t raw = truncate_to(f.type, rng.next_u64());
+      arena.store_scalar(f.offset, f.size, raw);
+      EXPECT_EQ(arena.param(id), raw) << ctx << " " << f.name;
+      const auto after = arena.bytes();
+      EXPECT_TRUE(std::equal(after.begin(), after.begin() + f.offset,
+                             before.begin()))
+          << ctx << " " << f.name << ": bytes before the field changed";
+      EXPECT_TRUE(std::equal(after.begin() + f.offset + f.size, after.end(),
+                             before.begin() + f.offset + f.size))
+          << ctx << " " << f.name << ": bytes after the field changed";
+    }
+    ++checked;
+  }
+  EXPECT_GT(checked, 0u) << ctx;
+}
+
+TEST(StateArena, ScalarAccessorsMatchParam) {
+  for (const std::string& name : guest::workload_names()) {
+    auto wl = guest::make_workload(name);
+    expect_scalar_accessors_match_param(wl->device().program().layout(),
+                                        name);
+  }
+  // Every width and signedness, with the widest field ending on the
+  // arena's last byte.
+  StateLayout layout("S");
+  const IntType types[] = {IntType::kU8,  IntType::kI8,  IntType::kU16,
+                           IntType::kI16, IntType::kU32, IntType::kI32,
+                           IntType::kU64, IntType::kI64};
+  for (const IntType t : types) {
+    (void)layout.add_scalar(type_name(t), FieldKind::kRegister, t);
+  }
+  (void)layout.add_funcptr("fp");
+  const ParamId last =
+      layout.add_scalar("last", FieldKind::kRegister, IntType::kU64);
+  ASSERT_EQ(layout.field(last).offset + 8, layout.arena_size());
+  expect_scalar_accessors_match_param(layout, "synthetic");
 }
 
 TEST(Arena, PeekIsSilentOnOob) {

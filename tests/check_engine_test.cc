@@ -7,6 +7,7 @@
 // that slips past it must still run memory-safely.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -69,11 +70,11 @@ struct RoundOutcome {
 };
 
 RoundOutcome one_round(CheckEngine& eng, StateArena& shadow,
-                       const IoAccess& io) {
+                       const IoAccess& io, const RoundOptions& opts = {}) {
   RoundOutcome out;
   shadow.clear_locals();
   try {
-    out.result = eng.check(io, RoundOptions{});
+    out.result = eng.check(io, opts);
   } catch (const CheckerFault& f) {
     out.threw_fault = true;
     out.what = f.what();
@@ -89,6 +90,9 @@ void expect_lockstep(const RoundOutcome& a, const RoundOutcome& b,
                      const std::string& ctx) {
   ASSERT_EQ(a.threw_fault, b.threw_fault) << ctx;
   ASSERT_EQ(a.threw_logic, b.threw_logic) << ctx;
+  if (a.threw_fault) {
+    ASSERT_EQ(a.what, b.what) << ctx;  // CheckerFault text
+  }
   ASSERT_EQ(a.result.steps, b.result.steps) << ctx;
   ASSERT_EQ(a.result.violations.size(), b.result.violations.size()) << ctx;
   for (size_t i = 0; i < a.result.violations.size(); ++i) {
@@ -106,13 +110,16 @@ void expect_lockstep(const RoundOutcome& a, const RoundOutcome& b,
 }
 
 // Replays `stream` through an interpreter and a bytecode engine built from
-// the same spec, asserting per-round lockstep.
+// the same spec under `config`, asserting per-round lockstep. The
+// interpreter's outcomes are appended to `outcomes` when it is non-null.
 void run_lockstep(const spec::EsCfg& es, Device& device,
                   const std::vector<IoAccess>& stream,
-                  const std::string& ctx) {
-  CheckerConfig icfg;
+                  const std::string& ctx, const CheckerConfig& config = {},
+                  const RoundOptions& opts = {},
+                  std::vector<RoundOutcome>* outcomes = nullptr) {
+  CheckerConfig icfg = config;
   icfg.engine = EngineKind::kInterpreter;
-  CheckerConfig bcfg;
+  CheckerConfig bcfg = config;
   bcfg.engine = EngineKind::kBytecode;
   StateArena ishadow(&device.program().layout());
   StateArena bshadow(&device.program().layout());
@@ -121,13 +128,33 @@ void run_lockstep(const spec::EsCfg& es, Device& device,
   const auto ie = make_engine(&es, &device, &ishadow, &icfg);
   const auto be = make_engine(&es, &device, &bshadow, &bcfg);
   for (size_t i = 0; i < stream.size(); ++i) {
-    const RoundOutcome ia = one_round(*ie, ishadow, stream[i]);
-    const RoundOutcome ba = one_round(*be, bshadow, stream[i]);
+    const RoundOutcome ia = one_round(*ie, ishadow, stream[i], opts);
+    const RoundOutcome ba = one_round(*be, bshadow, stream[i], opts);
     expect_lockstep(ia, ba, ishadow, bshadow,
                     ctx + " round " + std::to_string(i));
     ASSERT_EQ(ie->active_command(), be->active_command())
         << ctx << " round " << i;
+    if (outcomes != nullptr) {
+      outcomes->push_back(ia);
+    }
   }
+}
+
+// Benign guest traffic on `wl`'s device, recorded through a default
+// checker deployed with `es`.
+std::vector<IoAccess> record_benign_stream(guest::DeviceWorkload& wl,
+                                           const spec::EsCfg& es) {
+  checker::CheckerConfig cfg;
+  checker::EsChecker ck(&es, &wl.device(), cfg);
+  Recorder rec;
+  rec.inner = &ck;
+  wl.bus().set_proxy(&rec);
+  Rng rng(4242);
+  for (int i = 0; i < 80; ++i) {
+    wl.common_operation(guest::InteractionMode::kRandom, rng);
+  }
+  wl.bus().set_proxy(nullptr);
+  return std::move(rec.log);
 }
 
 // ---------------------------------------------------------------------------
@@ -154,18 +181,9 @@ TEST_P(CheckEngineDifferential, BenignStreamLockstep) {
   auto wl = guest::make_workload(GetParam());
   const spec::EsCfg es =
       pipeline::build_spec(wl->device(), [&] { wl->training(); });
-  checker::CheckerConfig cfg;
-  checker::EsChecker ck(&es, &wl->device(), cfg);
-  Recorder rec;
-  rec.inner = &ck;
-  wl->bus().set_proxy(&rec);
-  Rng rng(4242);
-  for (int i = 0; i < 80; ++i) {
-    wl->common_operation(guest::InteractionMode::kRandom, rng);
-  }
-  wl->bus().set_proxy(nullptr);
-  ASSERT_FALSE(rec.log.empty());
-  run_lockstep(es, wl->device(), rec.log, GetParam() + "/benign");
+  const std::vector<IoAccess> stream = record_benign_stream(*wl, es);
+  ASSERT_FALSE(stream.empty());
+  run_lockstep(es, wl->device(), stream, GetParam() + "/benign");
 }
 
 TEST_P(CheckEngineDifferential, HostileStreamLockstep) {
@@ -240,6 +258,129 @@ TEST(CheckEngineDifferential2, WideArithmeticLockstep) {
     stream.push_back(IoAccess{IoSpace::kPio, 0, 8, rng.next_u64(), true});
   }
   run_lockstep(es, device, stream, "wide");
+}
+
+// The bytecode prolog folds the step budget and the watchdog into one
+// compare against a per-round step limit. Pin both ends against the
+// interpreter: budgets so small that walks stop at their first few blocks,
+// and watchdog trips (whose CheckerFault text must match) under suppressed
+// termination and under a max_steps whose +1 wraps, where the watchdog
+// fires before the budget.
+TEST(CheckEngineDifferential2, StepLimitBoundariesLockstep) {
+  for (const std::string name : {"fdc", "sdhci"}) {
+    auto wl = guest::make_workload(name);
+    const spec::EsCfg es =
+        pipeline::build_spec(wl->device(), [&] { wl->training(); });
+    const std::vector<IoAccess> stream = record_benign_stream(*wl, es);
+    ASSERT_FALSE(stream.empty()) << name;
+
+    size_t budget_stops = 0;
+    for (const uint64_t max_steps : {0, 1, 2, 3}) {
+      CheckerConfig config;
+      config.max_steps = max_steps;
+      std::vector<RoundOutcome> outcomes;
+      run_lockstep(es, wl->device(), stream,
+                   name + "/max_steps=" + std::to_string(max_steps), config,
+                   {}, &outcomes);
+      for (const RoundOutcome& o : outcomes) {
+        for (const checker::Violation& v : o.result.violations) {
+          budget_stops +=
+              v.detail == checker::engine::detail::kBudgetExceeded ? 1 : 0;
+        }
+      }
+    }
+    EXPECT_GT(budget_stops, 0u) << name << ": no walk hit the budget";
+
+    struct WatchdogCase {
+      uint64_t max_steps;
+      uint64_t watchdog_steps;
+      bool suppress;
+    };
+    for (const WatchdogCase w : {WatchdogCase{1, 0, true},
+                                 WatchdogCase{1, 3, true},
+                                 WatchdogCase{UINT64_MAX, 3, false}}) {
+      CheckerConfig config;
+      config.max_steps = w.max_steps;
+      config.watchdog_steps = w.watchdog_steps;
+      const std::string ctx = name + "/max_steps=" +
+                              std::to_string(w.max_steps) + "/watchdog=" +
+                              std::to_string(w.watchdog_steps);
+      std::vector<RoundOutcome> outcomes;
+      run_lockstep(es, wl->device(), stream, ctx, config,
+                   RoundOptions{.suppress_termination = w.suppress},
+                   &outcomes);
+      EXPECT_TRUE(std::any_of(outcomes.begin(), outcomes.end(),
+                              [](const RoundOutcome& o) {
+                                return o.threw_fault;
+                              }))
+          << ctx << ": the watchdog never tripped";
+    }
+  }
+}
+
+// A blocked protection-mode round must not leave behind the command its
+// walk latched: EsChecker restores the pre-round latch, or clears it when
+// rollback recovery restored an older checkpoint.
+TEST(CheckEngineDifferential2, BlockedRoundRestoresCommandLatch) {
+  // Block 0 decodes the written value as a command; command 5 continues to
+  // block 1, whose guard is always true but only the false direction was
+  // trained, so every walk through command 5 is blocked after the latch
+  // moved.
+  auto wl = guest::make_workload("fdc");
+  spec::EsCfg es;
+  es.device_name = wl->device().name();
+  spec::EsBlock decode;
+  decode.site = 0;
+  decode.name = "decode";
+  decode.max_visits_per_round = 1;
+  decode.kind = BlockKind::kCmdDecision;
+  decode.cmd_expr = io_value(IntType::kU8);
+  decode.cmd_dispatch[5] = spec::CondDir{.observed = true, .succ = 1};
+  es.blocks[0] = std::move(decode);
+  spec::EsBlock reject;
+  reject.site = 1;
+  reject.name = "reject";
+  reject.max_visits_per_round = 1;
+  reject.kind = BlockKind::kConditional;
+  reject.guard = c(1);
+  reject.not_taken.observed = true;
+  reject.not_taken.ends = true;
+  es.blocks[1] = std::move(reject);
+  es.commands[5].access = {0, 1};
+  es.commands[7].access = {0, 1};
+  es.entry_dispatch[IoKey{IoSpace::kPio, 0, true}] = 0;
+  const IoAccess io{IoSpace::kPio, 0, 1, 5, true};
+
+  for (const EngineKind kind :
+       {EngineKind::kInterpreter, EngineKind::kBytecode}) {
+    for (const bool rollback : {false, true}) {
+      const std::string ctx = std::string(kind == EngineKind::kBytecode
+                                              ? "bytecode"
+                                              : "interpreter") +
+                              (rollback ? "/rollback" : "/protection");
+      auto fresh = guest::make_workload("fdc");
+      CheckerConfig config;
+      config.engine = kind;
+      config.rollback_on_violation = rollback;
+      checker::EsChecker ck(&es, &fresh->device(), config);
+
+      // The bare round dispatches command 5 before it fails ...
+      ck.engine().set_active_command(7);
+      ck.shadow().clear_locals();
+      const CheckResult bare = ck.engine().check(io, RoundOptions{});
+      ASSERT_FALSE(bare.clean()) << ctx;
+      ASSERT_EQ(ck.engine().active_command(), std::optional<uint64_t>(5))
+          << ctx;
+
+      // ... so the checked access must undo that.
+      ck.engine().set_active_command(7);
+      EXPECT_FALSE(ck.before_access(fresh->device(), io)) << ctx;
+      EXPECT_TRUE(ck.last_result().blocked) << ctx;
+      EXPECT_EQ(ck.engine().active_command(),
+                rollback ? std::nullopt : std::optional<uint64_t>(7))
+          << ctx;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -537,19 +678,40 @@ TEST_F(CheckEngineSerial, VerifierRejectsCorruptDecodedPrograms) {
       "register out of range");
   expect_reject(
       [](auto& p) { p.code.clear(); }, "empty code");
-  expect_reject(
-      [&](auto& p) {
-        // Find a scalar superinstruction and point it past the arena.
-        for (auto& ins : p.code) {
-          if (ins.op == static_cast<uint8_t>(Op::kStoreScalarImm) ||
-              ins.op == static_cast<uint8_t>(Op::kLoadScalar) ||
-              ins.op == static_cast<uint8_t>(Op::kStoreScalar)) {
-            ins.c = 0x7fffffff;
-            break;
-          }
-        }
-      },
-      "scalar access outside arena");
+
+  // Scalar superinstructions: offset+width must stay inside the arena, and
+  // the width must be one StateLayout creates, even where another fits.
+  size_t scalar_pc = 0;
+  for (size_t pc = 0; pc < program_->code.size(); ++pc) {
+    const uint8_t op = program_->code[pc].op;
+    if (op == static_cast<uint8_t>(Op::kStoreScalarImm) ||
+        op == static_cast<uint8_t>(Op::kLoadScalar) ||
+        op == static_cast<uint8_t>(Op::kStoreScalar)) {
+      scalar_pc = pc;
+      break;
+    }
+  }
+  ASSERT_NE(scalar_pc, 0u);
+  expect_reject([&](auto& p) { p.code[scalar_pc].c = 0x7fffffff; },
+                "scalar access outside arena");
+  for (const uint16_t width : {3, 5, 6, 7}) {
+    expect_reject(
+        [&](auto& p) {
+          p.code[scalar_pc].b = width;
+          p.code[scalar_pc].c = 0;
+        },
+        "scalar width not 1, 2, 4 or 8");
+  }
+  for (const uint16_t width : {1, 2, 4, 8}) {
+    checker::engine::BytecodeProgram p = *program_;
+    p.code[scalar_pc].b = width;
+    p.code[scalar_pc].c = layout.arena_size() - width;  // ends on last byte
+    EXPECT_NO_THROW(checker::engine::verify_program(p, layout))
+        << "width " << width;
+    p.code[scalar_pc].c += 1;
+    EXPECT_THROW(checker::engine::verify_program(p, layout), DecodeError)
+        << "width " << width << " one byte past the arena";
+  }
 }
 
 // A verified-then-garbled program must never corrupt memory: flip fields
