@@ -1,6 +1,7 @@
 #include "checker/checker.h"
 
 #include "checker/engine/engine.h"
+#include "checker/report_queue.h"
 #include "common/log.h"
 #include "obs/trace.h"
 
@@ -36,18 +37,6 @@ std::string_view failure_policy_name(FailurePolicy p) {
       return "fail-closed";
     case FailurePolicy::kFailOpen:
       return "fail-open";
-  }
-  return "?";
-}
-
-std::string_view engine_kind_name(EngineKind k) {
-  switch (k) {
-    case EngineKind::kDefault:
-      return "default";
-    case EngineKind::kInterpreter:
-      return "interpreter";
-    case EngineKind::kBytecode:
-      return "bytecode";
   }
   return "?";
 }
@@ -188,7 +177,6 @@ EsChecker::EsChecker(const spec::EsCfg* cfg, Device* device,
                   {"strategies", strategy_set_name(config_)}}));
   violations_counter_ = &obs::metrics().counter(
       "checker_violations_total", obs::label({{"device", metrics_label()}}));
-  engine_kind_ = engine::resolve_engine(config_.engine);
   engine_ = engine::make_engine(cfg_, device_, &shadow_, &config_);
   if (config_.rollback_on_violation) {
     checkpoint_ = std::make_unique<sedspec::StateArena>(
@@ -272,12 +260,12 @@ void EsChecker::emit_report(Report::Kind kind, Strategy strategy, SiteId site,
   r.site = site;
   r.seq = report_seq_++;
   r.value = value;
-  // offer() must never block (bounded queue, try-push): a full queue drops
-  // the report and the check path keeps its latency bound. The sink counts
-  // its own rejections (single source of truth, attributed per shard); we
-  // only track offered vs accepted so drops stay derivable per checker.
+  // try_push never blocks: a full queue drops the report and the check path
+  // keeps its latency bound. The queue counts its own rejections (single
+  // source of truth, attributed per shard); we only track offered vs
+  // accepted so drops stay derivable per checker.
   ++stats_.reports_offered;
-  if (hooks_.report_sink->offer(r)) {
+  if (hooks_.report_sink->try_push(r)) {
     ++stats_.reports_emitted;
   }
 }
@@ -285,10 +273,6 @@ void EsChecker::emit_report(Report::Kind kind, Strategy strategy, SiteId site,
 void EsChecker::resync() {
   shadow_.copy_from(device_->state());
   engine_->set_active_command(std::nullopt);
-}
-
-bool EsChecker::strategy_enabled(Strategy s) const {
-  return engine::strategy_enabled(config_, s);
 }
 
 CheckResult EsChecker::check(const IoAccess& io) {
@@ -473,7 +457,7 @@ bool EsChecker::violation_round(Device& device,
   }
   // The device executes the access; pick up its authoritative state
   // afterwards so the warning does not cascade into follow-on divergence.
-  pending_resync_ = config_.resync_after_warning;
+  pending_resync_ = true;
   return true;
 }
 

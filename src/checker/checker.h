@@ -63,6 +63,8 @@
 
 namespace sedspec::checker {
 
+class ReportQueue;
+
 namespace engine {
 class CheckEngine;
 }  // namespace engine
@@ -93,14 +95,7 @@ enum class Severity : uint8_t { kCritical = 0, kHigh = 1, kWarning = 2 };
 enum class Mode : uint8_t { kProtection, kEnhancement };
 
 /// Which check backend a checker deploys (see checker/engine/engine.h).
-/// kDefault resolves through engine::default_engine() at construction.
-enum class EngineKind : uint8_t {
-  kDefault = 0,
-  kInterpreter = 1,
-  kBytecode = 2,
-};
-
-[[nodiscard]] std::string_view engine_kind_name(EngineKind k);
+enum class EngineKind : uint8_t { kInterpreter, kBytecode };
 
 /// How a contained internal checker fault degrades the deployment.
 ///   kFailClosed — block the access, quarantine the device (reset it to
@@ -156,19 +151,6 @@ struct Report {
 
 [[nodiscard]] std::string_view report_kind_name(Report::Kind k);
 
-/// Where the checker ships reports. Implementations must be safe to call
-/// from many shard threads concurrently and must never block: offer()
-/// either accepts the report or returns false (bounded queue full). The
-/// SINK is the single source of truth for drop accounting (ReportQueue
-/// counts its own rejections and attributes them per shard); the caller
-/// only counts offers made (CheckerStats.reports_offered), so drops are
-/// derivable as offered - emitted without double-booking.
-class ReportSink {
- public:
-  virtual ~ReportSink() = default;
-  virtual bool offer(const Report& r) = 0;
-};
-
 struct CheckResult {
   std::vector<Violation> violations;
   bool blocked = false;  // the access was vetoed
@@ -188,18 +170,11 @@ struct CheckerConfig {
   bool enable_indirect = true;
   bool enable_conditional = true;
 
-  /// Check backend. kDefault resolves through the process-wide
-  /// engine::default_engine() knob (ships as kBytecode).
-  EngineKind engine = EngineKind::kDefault;
+  /// Check backend.
+  EngineKind engine = EngineKind::kBytecode;
 
-  /// Per-round visit bound = max(slack_min, trained_max * slack_multiplier).
-  uint64_t visit_slack_multiplier = 8;
-  uint64_t visit_slack_min = 64;
   /// Absolute traversal budget per round.
   uint64_t max_steps = 1u << 20;
-  /// Resynchronize the shadow state from the device after a warning round
-  /// (enhancement mode) so a single warning does not cascade.
-  bool resync_after_warning = true;
   /// Record violations but never block or halt (evaluation aid: lets a
   /// whole exploit run to completion while counting what each strategy
   /// would have reported round by round).
@@ -259,7 +234,7 @@ struct CheckerStats {
   uint64_t check_ns = 0;
 
   // Report-queue accounting (concurrency layer): offers the attached
-  // ReportSink accepted and total offers attempted. The check path never
+  // ReportQueue accepted and total offers attempted. The check path never
   // blocks on a full queue — the QUEUE counts its rejections (single
   // source of truth; see ReportQueue::dropped); per-checker drops are
   // reports_offered - reports_emitted.
@@ -308,9 +283,10 @@ using FaultHook = std::function<InternalFault(sedspec::StateArena& shadow)>;
 /// and must outlive the checker; value-initialized CheckerHooks{} detaches
 /// everything.
 struct CheckerHooks {
-  /// Violation/containment report destination (nullptr = detached). See
-  /// ReportSink for the drop-accounting contract.
-  ReportSink* report_sink = nullptr;
+  /// Violation/containment report destination (nullptr = detached). The
+  /// queue is the single source of truth for drop accounting (see
+  /// ReportQueue); the checker only counts offers made and accepted.
+  ReportQueue* report_sink = nullptr;
   /// Producer shard id stamped into every emitted Report.
   uint32_t shard_id = 0;
   /// Per-shard flight-recorder ring (see obs/flight.h): when set, every
@@ -347,12 +323,6 @@ class EsChecker final : public sedspec::IoProxy {
   bool before_access(Device& device, const IoAccess& io) override;
   void after_access(Device& device, const IoAccess& io) override;
 
-  /// Core traversal: simulates one I/O round, returns every violation.
-  /// Does not apply the mode policy (before_access does). NOT a containment
-  /// boundary — internal faults (watchdog, injected) propagate to the
-  /// caller; use the proxy hooks for contained checking.
-  [[nodiscard]] CheckResult check(const IoAccess& io);
-
   /// Re-copies the shadow state from the device (used after reset).
   void resync();
 
@@ -366,10 +336,7 @@ class EsChecker final : public sedspec::IoProxy {
   [[nodiscard]] const CheckResult& last_result() const { return last_; }
   [[nodiscard]] sedspec::StateArena& shadow() { return shadow_; }
   [[nodiscard]] const CheckerConfig& config() const { return config_; }
-  void set_mode(Mode mode) { config_.mode = mode; }
 
-  /// The resolved check backend this deployment runs (never kDefault).
-  [[nodiscard]] EngineKind engine_kind() const { return engine_kind_; }
   /// The live engine (differential tests / diagnostics).
   [[nodiscard]] engine::CheckEngine& engine() { return *engine_; }
 
@@ -416,7 +383,10 @@ class EsChecker final : public sedspec::IoProxy {
   /// go to the local ring only.
   void emit_event(EventId id, uint64_t a = 0);
 
-  [[nodiscard]] bool strategy_enabled(Strategy s) const;
+  /// Core traversal: simulates one I/O round, returns every violation.
+  /// Does not apply the mode policy and is not a containment boundary —
+  /// internal faults (watchdog, injected) propagate to before_access.
+  [[nodiscard]] CheckResult check(const IoAccess& io);
   void emit_report(Report::Kind kind, Strategy strategy, SiteId site,
                    uint64_t value = 0);
   bool guarded_before_access(Device& device, const IoAccess& io);
@@ -449,7 +419,6 @@ class EsChecker final : public sedspec::IoProxy {
   // every checker.
   obs::Counter* violations_counter_ = nullptr;
 
-  EngineKind engine_kind_ = EngineKind::kInterpreter;
   std::unique_ptr<engine::CheckEngine> engine_;
   std::unique_ptr<sedspec::StateArena> checkpoint_;  // rollback mode only
   // hooks_.local_tracer's key per EventId, resolved by attach().

@@ -52,10 +52,8 @@ namespace {
 
 using sedspec::Expr;
 using sedspec::ExprKind;
-using sedspec::ExprRef;
 using sedspec::Stmt;
 using sedspec::StmtKind;
-using spec::CondDir;
 using spec::EsBlock;
 
 /// Conservative over-approximation of "evaluating this expression can record
@@ -97,15 +95,13 @@ bool expr_can_diag(const Expr& e) {
 
 class Compiler {
  public:
-  Compiler(const spec::EsCfg& cfg, const Device& device,
-           const CheckerConfig& config)
+  Compiler(const spec::EsCfg& cfg, const Device& device)
       : cfg_(cfg),
-        config_(config),
         layout_(device.program().layout()),
         site_count_(device.program().site_count()) {}
 
   std::shared_ptr<const BytecodeProgram> run() {
-    validate();
+    validate_targets(cfg_, site_count_);
     p_.device_name = cfg_.device_name;
     build_block_meta();
     build_commands();
@@ -139,37 +135,6 @@ class Compiler {
     size_t entry = 0;
     SiteId site = sedspec::kInvalidSite;
   };
-
-  // --- structural validation (parity with InterpreterEngine::build_aux) ---
-
-  void validate() const {
-    const auto require_block = [&](SiteId s) {
-      SEDSPEC_REQUIRE(s < site_count_ && cfg_.blocks.contains(s));
-    };
-    const auto require_dir = [&](const CondDir& d) {
-      if (d.observed && !d.ends) {
-        require_block(d.succ);
-      }
-    };
-    for (const auto& [site, block] : cfg_.blocks) {
-      SEDSPEC_REQUIRE(site < site_count_);
-    }
-    for (const auto& [key, entry] : cfg_.entry_dispatch) {
-      if (entry != sedspec::kInvalidSite) {
-        require_block(entry);
-      }
-    }
-    for (const auto& [site, block] : cfg_.blocks) {
-      if (block.has_succ && !block.ends) {
-        require_block(block.succ);
-      }
-      require_dir(block.taken);
-      require_dir(block.not_taken);
-      for (const auto& [cmd, dir] : block.cmd_dispatch) {
-        require_dir(dir);
-      }
-    }
-  }
 
   void build_block_meta() {
     SEDSPEC_REQUIRE(cfg_.blocks.size() <= 0xffff);
@@ -426,7 +391,7 @@ class Compiler {
       }
       case StmtKind::kBufStore: {
         SEDSPEC_REQUIRE(s.index != nullptr && s.value != nullptr);
-        const bool bounds = index_is_state_derived(cfg_, s.index);
+        const bool bounds = bounds_checked(cfg_, s);
         const uint16_t ri = compile_expr(*s.index);
         const uint16_t rv = compile_expr(*s.value);
         emit(Insn{.op = static_cast<uint8_t>(Op::kBufStore),
@@ -442,8 +407,7 @@ class Compiler {
       }
       case StmtKind::kBufFill: {
         SEDSPEC_REQUIRE(s.index != nullptr && s.count != nullptr);
-        const bool bounds = index_is_state_derived(cfg_, s.index) ||
-                            index_is_state_derived(cfg_, s.count);
+        const bool bounds = bounds_checked(cfg_, s);
         const uint16_t ri = compile_expr(*s.index);
         const uint16_t rc = compile_expr(*s.count);
         emit(Insn{.op = static_cast<uint8_t>(Op::kBufFill),
@@ -468,40 +432,17 @@ class Compiler {
   // --- block compilation --------------------------------------------------
 
   void compile_block(const EsBlock& block, uint32_t meta) {
-    // Sync-local collection, in the interpreter's order: per-statement
-    // value/index/count, then guard, then cmd_expr; first occurrence wins.
-    std::vector<LocalId> syncs;
-    const auto collect = [&](const ExprRef& e) {
-      if (e == nullptr) {
-        return;
-      }
-      sedspec::visit(*e, [&](const Expr& n) {
-        if (n.kind == ExprKind::kLocal && cfg_.sync_locals.contains(n.local) &&
-            std::find(syncs.begin(), syncs.end(), n.local) == syncs.end()) {
-          syncs.push_back(n.local);
-        }
-      });
-    };
-    for (const Stmt& s : block.dsod) {
-      collect(s.value);
-      collect(s.index);
-      collect(s.count);
-    }
-    collect(block.guard);
-    collect(block.cmd_expr);
-
+    const std::vector<LocalId> syncs = block_syncs(cfg_, block);
     const size_t sync_off = p_.sync_pool.size();
     SEDSPEC_REQUIRE(sync_off + syncs.size() <= 0xffff);
     p_.sync_pool.insert(p_.sync_pool.end(), syncs.begin(), syncs.end());
-    // The slack-adjusted visit bound rides in imm so a clean visit never
-    // touches BlockMeta (it is read only to report a violation).
+    // The visit bound rides in imm so a clean visit never touches
+    // BlockMeta (it is read only to report a violation).
     emit(Insn{.op = static_cast<uint8_t>(Op::kProlog),
               .dst = static_cast<uint16_t>(syncs.size()),
               .a = static_cast<uint16_t>(meta),
               .b = static_cast<uint16_t>(sync_off),
-              .imm = std::max<uint64_t>(config_.visit_slack_min,
-                                        block.max_visits_per_round *
-                                            config_.visit_slack_multiplier)});
+              .imm = visit_bound(block)});
 
     for (const Stmt& s : block.dsod) {
       compile_stmt(s, meta);
@@ -765,7 +706,6 @@ class Compiler {
   }
 
   const spec::EsCfg& cfg_;
-  const CheckerConfig& config_;
   const sedspec::StateLayout& layout_;
   const size_t site_count_;
 
@@ -785,9 +725,8 @@ class Compiler {
 }  // namespace
 
 std::shared_ptr<const BytecodeProgram> compile_program(
-    const spec::EsCfg& cfg, const Device& device,
-    const CheckerConfig& config) {
-  return Compiler(cfg, device, config).run();
+    const spec::EsCfg& cfg, const Device& device) {
+  return Compiler(cfg, device).run();
 }
 
 // ---------------------------------------------------------------------------
@@ -1176,7 +1115,7 @@ template <sedspec::BinaryOp OP>
 BytecodeEngine::BytecodeEngine(const spec::EsCfg* cfg, Device* device,
                                sedspec::StateArena* shadow,
                                const CheckerConfig* config)
-    : program_(compile_program(*cfg, *device, *config)),
+    : program_(compile_program(*cfg, *device)),
       device_(device),
       shadow_(shadow),
       config_(config) {

@@ -179,11 +179,12 @@ struct BytecodeProgram {
   EntryGroup entry[4];  // index: (space == kMmio) << 1 | is_write
 };
 
-/// Compiles a spec into a program. Throws std::logic_error on structurally
-/// malformed specs (unmapped sites, dangling transition targets) — the same
-/// behavior (and containment conversion) as InterpreterEngine attach.
+/// Compiles a spec into a program. The result depends only on the spec and
+/// the device layout. Throws std::logic_error on structurally malformed
+/// specs through the shared validate_targets (engine.h), exactly as
+/// InterpreterEngine attach does.
 [[nodiscard]] std::shared_ptr<const BytecodeProgram> compile_program(
-    const spec::EsCfg& cfg, const Device& device, const CheckerConfig& config);
+    const spec::EsCfg& cfg, const Device& device);
 
 /// Structural/memory-safety verifier: every register, pool index and jump
 /// target is range-checked against the program's own tables, scalar

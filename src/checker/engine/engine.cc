@@ -1,6 +1,6 @@
 #include "checker/engine/engine.h"
 
-#include <atomic>
+#include <algorithm>
 #include <charconv>
 
 #include "checker/engine/bytecode.h"
@@ -10,44 +10,19 @@
 
 namespace sedspec::checker::engine {
 
-namespace {
-// Process-wide backend knob. Relaxed is enough: tests that flip it
-// synchronize checker construction themselves, and a torn read is
-// impossible for a one-byte enum.
-std::atomic<EngineKind> g_default_engine{EngineKind::kBytecode};
-}  // namespace
-
-EngineKind default_engine() {
-  return g_default_engine.load(std::memory_order_relaxed);
-}
-
-void set_default_engine(EngineKind kind) {
-  SEDSPEC_REQUIRE_MSG(kind != EngineKind::kDefault,
-                      "default engine must be a concrete backend");
-  g_default_engine.store(kind, std::memory_order_relaxed);
-}
-
-EngineKind resolve_engine(EngineKind requested) {
-  return requested == EngineKind::kDefault ? default_engine() : requested;
-}
-
 std::unique_ptr<CheckEngine> make_engine(const spec::EsCfg* cfg,
                                          Device* device,
                                          sedspec::StateArena* shadow,
                                          const CheckerConfig* config) {
   SEDSPEC_REQUIRE(cfg != nullptr && device != nullptr && shadow != nullptr &&
                   config != nullptr);
-  switch (resolve_engine(config->engine)) {
-    case EngineKind::kInterpreter:
-      return std::make_unique<InterpreterEngine>(cfg, device, shadow, config);
-    case EngineKind::kBytecode:
-      return std::make_unique<BytecodeEngine>(cfg, device, shadow, config);
-    case EngineKind::kDefault:
-      break;  // unreachable: resolve_engine never returns kDefault
+  if (config->engine == EngineKind::kInterpreter) {
+    return std::make_unique<InterpreterEngine>(cfg, device, shadow, config);
   }
-  SEDSPEC_REQUIRE_MSG(false, "unresolvable engine kind");
-  return nullptr;
+  return std::make_unique<BytecodeEngine>(cfg, device, shadow, config);
 }
+
+namespace {
 
 bool index_is_state_derived(const spec::EsCfg& cfg, const sedspec::ExprRef& e) {
   if (e == nullptr) {
@@ -68,6 +43,76 @@ bool index_is_state_derived(const spec::EsCfg& cfg, const sedspec::ExprRef& e) {
     }
   });
   return has_param && !has_sync_local;
+}
+
+}  // namespace
+
+void validate_targets(const spec::EsCfg& cfg, size_t site_count) {
+  const auto require_block = [&](SiteId site) {
+    SEDSPEC_REQUIRE(site < site_count && cfg.blocks.contains(site));
+  };
+  const auto require_dir = [&](const spec::CondDir& d) {
+    if (d.observed && !d.ends) {
+      require_block(d.succ);
+    }
+  };
+  for (const auto& [key, entry] : cfg.entry_dispatch) {
+    if (entry != sedspec::kInvalidSite) {
+      require_block(entry);
+    }
+  }
+  for (const auto& [site, block] : cfg.blocks) {
+    SEDSPEC_REQUIRE(site < site_count);
+    if (block.has_succ && !block.ends) {
+      require_block(block.succ);
+    }
+    require_dir(block.taken);
+    require_dir(block.not_taken);
+    for (const auto& [cmd, dir] : block.cmd_dispatch) {
+      require_dir(dir);
+    }
+  }
+}
+
+std::vector<sedspec::LocalId> block_syncs(const spec::EsCfg& cfg,
+                                          const spec::EsBlock& block) {
+  std::vector<sedspec::LocalId> syncs;
+  const auto collect = [&](const sedspec::ExprRef& e) {
+    if (e == nullptr) {
+      return;
+    }
+    sedspec::visit(*e, [&](const sedspec::Expr& n) {
+      if (n.kind == sedspec::ExprKind::kLocal &&
+          cfg.sync_locals.contains(n.local) &&
+          std::find(syncs.begin(), syncs.end(), n.local) == syncs.end()) {
+        syncs.push_back(n.local);
+      }
+    });
+  };
+  for (const sedspec::Stmt& s : block.dsod) {
+    collect(s.value);
+    collect(s.index);
+    collect(s.count);
+  }
+  collect(block.guard);
+  collect(block.cmd_expr);
+  return syncs;
+}
+
+uint64_t visit_bound(const spec::EsBlock& block) {
+  return std::max<uint64_t>(64, block.max_visits_per_round * 8);
+}
+
+bool bounds_checked(const spec::EsCfg& cfg, const sedspec::Stmt& s) {
+  switch (s.kind) {
+    case sedspec::StmtKind::kBufStore:
+      return index_is_state_derived(cfg, s.index);
+    case sedspec::StmtKind::kBufFill:
+      return index_is_state_derived(cfg, s.index) ||
+             index_is_state_derived(cfg, s.count);
+    default:
+      return false;
+  }
 }
 
 namespace detail {

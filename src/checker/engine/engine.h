@@ -24,6 +24,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "checker/checker.h"
 #include "expr/eval.h"
@@ -60,20 +61,9 @@ class CheckEngine {
   [[nodiscard]] virtual std::string_view name() const = 0;
 };
 
-/// Process-wide default backend used when CheckerConfig::engine is
-/// EngineKind::kDefault. Ships as kBytecode; tests flip it to run whole
-/// subsystems (e.g. the exploit matrix) under a specific engine.
-[[nodiscard]] EngineKind default_engine();
-void set_default_engine(EngineKind kind);  // must not be kDefault
-
-/// Resolves kDefault through the process-wide knob.
-[[nodiscard]] EngineKind resolve_engine(EngineKind requested);
-
 /// Builds the engine selected by `config->engine`. `cfg`/`device`/`shadow`/
-/// `config` must outlive the engine. Structural spec validation happens
-/// here (std::logic_error on malformed transition targets, matching the
-/// historical build_aux() behavior, so deploy_serialized still converts
-/// malformed specs into kMalformed load rejections).
+/// `config` must outlive the engine. Both engines run validate_targets
+/// (below) at attach, so a malformed spec throws std::logic_error here.
 [[nodiscard]] std::unique_ptr<CheckEngine> make_engine(
     const spec::EsCfg* cfg, Device* device, sedspec::StateArena* shadow,
     const CheckerConfig* config);
@@ -92,11 +82,31 @@ void set_default_engine(EngineKind kind);  // must not be kDefault
   return false;
 }
 
-/// True when a buffer index expression is derived from device state (the
-/// paper's §VI-A rule deciding which buffer accesses get bounds-validated;
-/// non-state indices are the documented CVE-2015-7504 blind spot).
-[[nodiscard]] bool index_is_state_derived(const spec::EsCfg& cfg,
-                                          const sedspec::ExprRef& e);
+// Attach-time spec contract. Both engines derive their per-block data from
+// these four helpers and nothing else, so they can differ only in how a
+// round executes, never in what a spec means.
+
+/// Specs arrive from untrusted persistence: every block site must be below
+/// `site_count`, and every entry, plain successor and observed non-ending
+/// direction (taken, not-taken, command dispatch) must name a block.
+/// Throws std::logic_error otherwise, which deploy_serialized converts into
+/// a kMalformed load rejection.
+void validate_targets(const spec::EsCfg& cfg, size_t site_count);
+
+/// Sync locals `block` reads, first occurrence wins, in this order: each
+/// DSOD statement's value, index and count, then the guard, then cmd_expr.
+[[nodiscard]] std::vector<sedspec::LocalId> block_syncs(
+    const spec::EsCfg& cfg, const spec::EsBlock& block);
+
+/// Per-round visit cap for `block`: max(64, 8 * max_visits_per_round).
+[[nodiscard]] uint64_t visit_bound(const spec::EsBlock& block);
+
+/// True when DSOD statement `s` is a buffer store or fill whose index (or
+/// fill count) is derived from device state — the paper's §VI-A rule for
+/// which buffer accesses get bounds-validated. Non-state indices are the
+/// documented CVE-2015-7504 blind spot.
+[[nodiscard]] bool bounds_checked(const spec::EsCfg& cfg,
+                                  const sedspec::Stmt& s);
 
 // Violation detail strings, shared verbatim by both engines.
 namespace detail {

@@ -10,7 +10,6 @@ namespace sedspec::checker::engine {
 
 using sedspec::EvalCtx;
 using sedspec::EvalDiag;
-using sedspec::ExprRef;
 using sedspec::Stmt;
 using sedspec::StmtKind;
 using spec::CondDir;
@@ -25,81 +24,19 @@ InterpreterEngine::InterpreterEngine(const spec::EsCfg* cfg, Device* device,
 
 void InterpreterEngine::build_aux() {
   const size_t site_count = device_->program().site_count();
+  validate_targets(*cfg_, site_count);
   aux_.assign(site_count, BlockAux{});
   visits_.assign(site_count, 0);
   visit_epoch_.assign(site_count, 0);
-
-  auto collect_syncs = [&](const ExprRef& e, std::vector<LocalId>* out) {
-    if (e == nullptr) {
-      return;
-    }
-    sedspec::visit(*e, [&](const sedspec::Expr& n) {
-      if (n.kind == sedspec::ExprKind::kLocal &&
-          cfg_->sync_locals.contains(n.local) &&
-          std::find(out->begin(), out->end(), n.local) == out->end()) {
-        out->push_back(n.local);
-      }
-    });
-  };
-
   for (const auto& [site, block] : cfg_->blocks) {
-    SEDSPEC_REQUIRE(site < site_count);
     BlockAux& aux = aux_[site];
     aux.block = &block;
-    aux.visit_bound =
-        std::max<uint64_t>(config_->visit_slack_min,
-                           block.max_visits_per_round *
-                               config_->visit_slack_multiplier);
+    aux.visit_bound = visit_bound(block);
+    aux.syncs = block_syncs(*cfg_, block);
     for (const Stmt& s : block.dsod) {
-      collect_syncs(s.value, &aux.syncs);
-      collect_syncs(s.index, &aux.syncs);
-      collect_syncs(s.count, &aux.syncs);
-      // The paper's parameter check bounds-validates a buffer access only
-      // when "a device state index parameter is used" (§VI-A). A store
-      // through a non-state temporary is applied to the shadow (modeling
-      // the corruption) but not flagged — that is the documented
-      // CVE-2015-7504 blind spot covered by the indirect-jump check.
-      bool bounds = false;
-      if (s.kind == StmtKind::kBufStore) {
-        bounds = index_is_state_derived(*cfg_, s.index);
-      } else if (s.kind == StmtKind::kBufFill) {
-        bounds = index_is_state_derived(*cfg_, s.index) ||
-                 index_is_state_derived(*cfg_, s.count);
-      }
-      aux.stmt_bounds.push_back(bounds ? 1 : 0);
-    }
-    collect_syncs(block.guard, &aux.syncs);
-    collect_syncs(block.cmd_expr, &aux.syncs);
-  }
-
-  // Specs arrive from untrusted persistence: every transition target must
-  // resolve to a real block, or traversal would land on a null aux entry.
-  // SEDSPEC_REQUIRE throws logic_error, which deploy_serialized converts
-  // into a kMalformed load rejection.
-  const auto require_block = [&](SiteId site) {
-    SEDSPEC_REQUIRE(site < site_count && aux_[site].block != nullptr);
-  };
-  const auto require_dir = [&](const spec::CondDir& d) {
-    if (d.observed && !d.ends) {
-      require_block(d.succ);
-    }
-  };
-  for (const auto& [key, entry] : cfg_->entry_dispatch) {
-    if (entry != sedspec::kInvalidSite) {
-      require_block(entry);
+      aux.stmt_bounds.push_back(bounds_checked(*cfg_, s) ? 1 : 0);
     }
   }
-  for (const auto& [site, block] : cfg_->blocks) {
-    if (block.has_succ && !block.ends) {
-      require_block(block.succ);
-    }
-    require_dir(block.taken);
-    require_dir(block.not_taken);
-    for (const auto& [cmd, dir] : block.cmd_dispatch) {
-      require_dir(dir);
-    }
-  }
-
   entries_.assign(cfg_->entry_dispatch.begin(), cfg_->entry_dispatch.end());
 }
 

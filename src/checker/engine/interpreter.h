@@ -19,8 +19,8 @@ namespace sedspec::checker::engine {
 
 class InterpreterEngine final : public CheckEngine {
  public:
-  /// Validates every transition target (std::logic_error on malformed
-  /// specs, matching historical build_aux() behavior).
+  /// Attaches through the shared contract in engine.h: validate_targets
+  /// throws std::logic_error on a malformed spec.
   InterpreterEngine(const spec::EsCfg* cfg, Device* device,
                     sedspec::StateArena* shadow, const CheckerConfig* config);
 
@@ -39,9 +39,8 @@ class InterpreterEngine final : public CheckEngine {
   }
 
  private:
-  /// Per-block derived data resolved once at attach: spec lookups and the
-  /// sync-local set are precomputed so the per-round loop touches only
-  /// flat vectors.
+  /// Per-block derived data resolved once at attach from the engine.h
+  /// contract, so the per-round loop touches only flat vectors.
   struct BlockAux {
     const spec::EsBlock* block = nullptr;
     std::vector<sedspec::LocalId> syncs;  // sync locals read by this block

@@ -27,7 +27,7 @@
 
 namespace sedspec::checker {
 
-class ReportQueue final : public ReportSink {
+class ReportQueue final {
  public:
   /// Capacity is rounded up to a power of two (minimum 2).
   explicit ReportQueue(size_t capacity);
@@ -39,9 +39,6 @@ class ReportQueue final : public ReportSink {
   /// `r.shard`). Safe from any number of producer threads concurrently
   /// with consumers.
   bool try_push(const Report& r);
-
-  /// ReportSink for CheckerHooks::report_sink.
-  bool offer(const Report& r) override { return try_push(r); }
 
   /// Lock-free try-pop; false when empty.
   bool try_pop(Report& out);

@@ -121,9 +121,9 @@ void EnforcementService::run_shard(const ShardSpec& spec, uint32_t shard_id,
   IoBus& bus = workload->bus();
   bus.set_access_latency_ns(config_.bus_access_latency_ns);
   bus.set_access_latency_model(config_.latency_model);
-  if (config_.bind_bus_owners) {
-    bus.bind_owner_thread();
-  }
+  // Binds the bus to this shard thread so cross-thread accesses are
+  // counted (tests assert the count stays zero).
+  bus.bind_owner_thread();
 
   const std::string vm =
       spec.vm.empty() ? "vm" + std::to_string(shard_id) : spec.vm;

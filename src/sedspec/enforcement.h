@@ -75,9 +75,6 @@ struct ServiceConfig {
   /// Poll the store for a newer spec every N operations (0 = never).
   /// Policy-version polling rides the same cadence.
   uint64_t spec_poll_ops = 64;
-  /// Bind each shard's bus (and DMA engine) to its thread and count
-  /// cross-thread accesses (tests assert the count stays zero).
-  bool bind_bus_owners = true;
   /// Per-access VM-exit cost and how it is paid (see IoBus). Throughput
   /// scaling runs use kSleep so shards overlap their I/O waits.
   uint64_t bus_access_latency_ns = 0;

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -16,11 +17,13 @@
 #include "checker/checker.h"
 #include "checker/engine/bytecode.h"
 #include "checker/engine/engine.h"
+#include "devices/fdc.h"
 #include "guest/exploits.h"
 #include "guest/workload.h"
 #include "sedspec/enforcement.h"
 #include "sedspec/pipeline.h"
 #include "spec/es_cfg.h"
+#include "spec/serial.h"
 
 namespace sedspec {
 namespace {
@@ -36,18 +39,6 @@ using checker::engine::RoundOptions;
 using checker::engine::make_engine;
 using namespace eb;  // expr builders: c/param/local/io/bin/un/cast
 using namespace sb;  // stmt builders: assign/assign_local/buf_store/buf_fill
-
-// RAII override of the process-wide default engine knob.
-class EngineGuard {
- public:
-  explicit EngineGuard(EngineKind kind) : prev_(checker::engine::default_engine()) {
-    checker::engine::set_default_engine(kind);
-  }
-  ~EngineGuard() { checker::engine::set_default_engine(prev_); }
-
- private:
-  EngineKind prev_;
-};
 
 struct Recorder final : public IoProxy {
   checker::EsChecker* inner = nullptr;
@@ -318,6 +309,49 @@ TEST(CheckEngineDifferential2, StepLimitBoundariesLockstep) {
   }
 }
 
+// The visit bound is max(64, 8 * trained max) (engine::visit_bound). A
+// block that loops on itself walks until its visit count passes that
+// bound, so the round takes exactly bound + 1 steps and ends with one
+// conditional-jump violation. Trained maxima on both sides of the 64 floor
+// pin the formula in both engines.
+TEST(CheckEngineDifferential2, VisitBoundBoundaryLockstep) {
+  auto wl = guest::make_workload("fdc");
+  struct Case {
+    uint64_t trained_max;
+    uint64_t steps;
+  };
+  for (const Case k : {Case{1, 65}, Case{8, 65}, Case{9, 73},
+                       Case{100, 801}}) {
+    spec::EsCfg es;
+    es.device_name = wl->device().name();
+    spec::EsBlock b;
+    b.site = 0;
+    b.name = "spin";
+    b.max_visits_per_round = k.trained_max;
+    b.kind = BlockKind::kPlain;
+    b.has_succ = true;
+    b.succ = 0;
+    es.blocks[0] = std::move(b);
+    es.entry_dispatch[IoKey{IoSpace::kPio, 0, true}] = 0;
+    const std::string ctx = "trained max " + std::to_string(k.trained_max);
+    // Lockstep pins the bytecode engine to the interpreter's steps and
+    // detail strings; the outcomes checked below are the interpreter's.
+    std::vector<RoundOutcome> outcomes;
+    run_lockstep(es, wl->device(), {IoAccess{IoSpace::kPio, 0, 1, 0, true}},
+                 ctx, {}, {}, &outcomes);
+    ASSERT_EQ(outcomes.size(), 1u) << ctx;
+    const CheckResult& r = outcomes[0].result;
+    EXPECT_EQ(r.steps, k.steps) << ctx;
+    ASSERT_EQ(r.violations.size(), 1u) << ctx;
+    EXPECT_EQ(r.violations[0].strategy, checker::Strategy::kConditionalJump)
+        << ctx;
+    EXPECT_EQ(r.violations[0].detail,
+              checker::engine::detail::visit_bound("spin", k.steps,
+                                                   k.trained_max))
+        << ctx;
+  }
+}
+
 // A blocked protection-mode round must not leave behind the command its
 // walk latched: EsChecker restores the pre-round latch, or clears it when
 // rollback recovery restored an older checkpoint.
@@ -391,29 +425,21 @@ TEST(CheckEngineDifferential2, BlockedRoundRestoresCommandLatch) {
 TEST(CheckEngineDifferential2, ExploitMatrixIdenticalAcrossEngines) {
   for (const guest::ExploitScenario& scenario : guest::exploit_scenarios()) {
     const auto& info = scenario.info();
-    std::optional<guest::ExploitScenario::Matrix> interp;
-    std::optional<guest::ExploitScenario::Matrix> byte;
-    {
-      EngineGuard g(EngineKind::kInterpreter);
-      interp = scenario.evaluate();
-    }
-    {
-      EngineGuard g(EngineKind::kBytecode);
-      byte = scenario.evaluate();
-    }
-    EXPECT_EQ(interp->unprotected_compromised, byte->unprotected_compromised)
+    const auto interp = scenario.evaluate(EngineKind::kInterpreter);
+    const auto byte = scenario.evaluate(EngineKind::kBytecode);
+    EXPECT_EQ(interp.unprotected_compromised, byte.unprotected_compromised)
         << info.cve;
-    EXPECT_EQ(interp->parameter, byte->parameter) << info.cve;
-    EXPECT_EQ(interp->indirect, byte->indirect) << info.cve;
-    EXPECT_EQ(interp->conditional, byte->conditional) << info.cve;
-    EXPECT_EQ(interp->detected, byte->detected) << info.cve;
-    EXPECT_EQ(interp->protected_compromised, byte->protected_compromised)
+    EXPECT_EQ(interp.parameter, byte.parameter) << info.cve;
+    EXPECT_EQ(interp.indirect, byte.indirect) << info.cve;
+    EXPECT_EQ(interp.conditional, byte.conditional) << info.cve;
+    EXPECT_EQ(interp.detected, byte.detected) << info.cve;
+    EXPECT_EQ(interp.protected_compromised, byte.protected_compromised)
         << info.cve;
     // Both engines must also match the paper, not merely each other.
-    EXPECT_EQ(byte->detected, info.expect_detected) << info.cve;
-    EXPECT_EQ(byte->parameter, info.expect_parameter) << info.cve;
-    EXPECT_EQ(byte->indirect, info.expect_indirect) << info.cve;
-    EXPECT_EQ(byte->conditional, info.expect_conditional) << info.cve;
+    EXPECT_EQ(byte.detected, info.expect_detected) << info.cve;
+    EXPECT_EQ(byte.parameter, info.expect_parameter) << info.cve;
+    EXPECT_EQ(byte.indirect, info.expect_indirect) << info.cve;
+    EXPECT_EQ(byte.conditional, info.expect_conditional) << info.cve;
   }
 }
 
@@ -643,6 +669,105 @@ TEST(CheckEngineFuzz, RandomSpecsStayInLockstep) {
   EXPECT_GT(rejected, 5);
 }
 
+// Every kind of dangling transition target, one minimal spec each. Both
+// engines reject each at attach through the shared validate_targets, and a
+// persisted copy is a kMalformed load that installs no checker. The fuzz
+// test above only shows the engines agree; this shows each kind is caught.
+TEST(CheckEngineAttach, EveryDanglingTargetIsRejected) {
+  auto wl = guest::make_workload("fdc");
+  Device& device = wl->device();
+  const SiteId site_count =
+      static_cast<SiteId>(device.program().site_count());
+  constexpr SiteId kMissing = 1;  // a valid site with no block
+  const uint64_t port = devices::FdcDevice::kBasePort;
+  // One block at site 0 that ends the round; `defect` breaks it.
+  const auto make_spec = [&](const auto& defect) {
+    spec::EsCfg es;
+    es.device_name = device.name();
+    spec::EsBlock b;
+    b.site = 0;
+    b.name = "only";
+    b.max_visits_per_round = 1;
+    b.kind = BlockKind::kPlain;
+    b.ends = true;
+    es.blocks[0] = std::move(b);
+    es.entry_dispatch[IoKey{IoSpace::kPio, port, true}] = 0;
+    defect(es, es.blocks[0]);
+    return es;
+  };
+  struct Defect {
+    const char* what;
+    std::function<void(spec::EsCfg&, spec::EsBlock&)> apply;
+  };
+  const std::vector<Defect> defects = {
+      {"block site >= site_count",
+       [&](spec::EsCfg& es, spec::EsBlock&) {
+         spec::EsBlock extra = es.blocks[0];
+         extra.site = site_count;
+         es.blocks[site_count] = std::move(extra);
+       }},
+      {"entry to a missing block",
+       [&](spec::EsCfg& es, spec::EsBlock&) {
+         es.entry_dispatch[IoKey{IoSpace::kPio, port, false}] = kMissing;
+       }},
+      {"succ to a missing block",
+       [&](spec::EsCfg&, spec::EsBlock& b) {
+         b.ends = false;
+         b.has_succ = true;
+         b.succ = kMissing;
+       }},
+      {"taken to a missing block",
+       [&](spec::EsCfg&, spec::EsBlock& b) {
+         b.kind = BlockKind::kConditional;
+         b.guard = c(1);
+         b.taken = spec::CondDir{.observed = true, .succ = kMissing};
+       }},
+      {"not_taken to a missing block",
+       [&](spec::EsCfg&, spec::EsBlock& b) {
+         b.kind = BlockKind::kConditional;
+         b.guard = c(0);
+         b.not_taken = spec::CondDir{.observed = true, .succ = kMissing};
+       }},
+      {"cmd_dispatch to a missing block",
+       [&](spec::EsCfg&, spec::EsBlock& b) {
+         b.kind = BlockKind::kCmdDecision;
+         b.cmd_expr = io_value(IntType::kU8);
+         b.cmd_dispatch[5] = spec::CondDir{.observed = true, .succ = kMissing};
+       }},
+  };
+
+  StateArena shadow(&device.program().layout());
+  shadow.copy_from(device.state());
+  const spec::EsCfg intact = make_spec([](spec::EsCfg&, spec::EsBlock&) {});
+  for (const EngineKind kind :
+       {EngineKind::kInterpreter, EngineKind::kBytecode}) {
+    CheckerConfig config;
+    config.engine = kind;
+    EXPECT_NO_THROW((void)make_engine(&intact, &device, &shadow, &config));
+  }
+  for (const Defect& d : defects) {
+    const spec::EsCfg es = make_spec(d.apply);
+    for (const EngineKind kind :
+         {EngineKind::kInterpreter, EngineKind::kBytecode}) {
+      CheckerConfig config;
+      config.engine = kind;
+      EXPECT_THROW((void)make_engine(&es, &device, &shadow, &config),
+                   std::logic_error)
+          << d.what << (kind == EngineKind::kBytecode ? " (bytecode)"
+                                                      : " (interpreter)");
+    }
+    const auto out = pipeline::deploy_serialized(spec::serialize(es), device,
+                                                 wl->bus());
+    EXPECT_FALSE(out.ok()) << d.what;
+    EXPECT_EQ(out.error.status, spec::LoadStatus::kMalformed) << d.what;
+    // No proxy: an access the spec never trained goes straight through.
+    const uint64_t blocked = wl->bus().blocked_count();
+    wl->bus().write(IoSpace::kPio, port + 2, 1, 0x0c);
+    EXPECT_EQ(wl->bus().blocked_count(), blocked) << d.what;
+    EXPECT_FALSE(device.halted()) << d.what;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // 4. Precompiled programs: the verifier guards them at attach.
 // ---------------------------------------------------------------------------
@@ -652,8 +777,7 @@ class CheckEngineSerial : public ::testing::Test {
   void SetUp() override {
     wl_ = guest::make_workload("fdc");
     es_ = pipeline::build_spec(wl_->device(), [&] { wl_->training(); });
-    cfg_.engine = EngineKind::kBytecode;
-    program_ = checker::engine::compile_program(es_, wl_->device(), cfg_);
+    program_ = checker::engine::compile_program(es_, wl_->device());
   }
 
   std::unique_ptr<guest::DeviceWorkload> wl_;
@@ -784,8 +908,7 @@ TEST_P(CheckEngineProgram, ShippedSpecsEmitSuperinstructions) {
   auto wl = guest::make_workload(GetParam());
   const spec::EsCfg es =
       pipeline::build_spec(wl->device(), [&] { wl->training(); });
-  const auto program =
-      checker::engine::compile_program(es, wl->device(), CheckerConfig{});
+  const auto program = checker::engine::compile_program(es, wl->device());
   size_t count[static_cast<size_t>(Op::kOpCount)] = {};
   for (const checker::engine::Insn& ins : program->code) {
     ASSERT_LT(ins.op, static_cast<uint8_t>(Op::kOpCount));

@@ -139,28 +139,5 @@ TEST(CheckerConfigKnobs, TraversalBudgetGuard) {
   EXPECT_FALSE(wl->device().halted());
 }
 
-TEST(CheckerConfigKnobs, ResyncAfterWarningPreventsCascades) {
-  // With resync disabled, a single rare-command warning may cascade into
-  // follow-on divergence warnings; with it enabled (default), exactly the
-  // rare rounds warn. This documents why the knob exists.
-  auto count_warnings = [](bool resync) {
-    auto wl = make_workload("fdc");
-    CheckerConfig config;
-    config.mode = Mode::kEnhancement;
-    config.resync_after_warning = resync;
-    wl->build_and_deploy(config);
-    Rng rng(53);
-    wl->rare_operation(rng);
-    // Benign traffic afterwards.
-    VirtualClock clock;
-    wl->test_case(InteractionMode::kSequential, rng, clock, false);
-    return wl->checker()->stats().warnings;
-  };
-  const uint64_t with_resync = count_warnings(true);
-  const uint64_t without_resync = count_warnings(false);
-  EXPECT_GT(with_resync, 0u);
-  EXPECT_GE(without_resync, with_resync);
-}
-
 }  // namespace
 }  // namespace sedspec
