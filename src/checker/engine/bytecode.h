@@ -37,51 +37,53 @@ namespace sedspec::checker::engine {
 /// Opcodes. Control ops terminate or redirect the instruction stream; expr
 /// ops implement one AST node each (one opcode per BinaryOp — threaded
 /// dispatch makes a wide opcode space free); stmt ops mutate the shadow.
+///
+/// Every value an instruction consumes is an *operand* (see operand_spec
+/// below): a register, or a leaf read in place — a constant-pool entry, a
+/// scalar field or an I/O field. Only leaves the encoding cannot express
+/// (and leaves that can fault) take a dispatch of their own, via kConst or
+/// kLoadParam.
 enum class Op : uint8_t {
   // Control.
   kEnd = 0,  // round complete (code[0] is always kEnd: jump target 0 = end)
   kJump,     // pc = c
   kProlog,   // block entry: steps/watchdog/budget/visits/syncs/cmd-access
              // (a = block meta, b/dst = sync-pool slice, imm = visit bound)
-  kBranch,   // conditional NBTD on regs[a]
-  kGuardCmpBranch,  // superinstruction: fused simple-operand compare + NBTD
-  kCmdDispatch,     // command decode dispatch (sorted table, binary search)
+  kGuardCmpBranch,  // conditional NBTD on `a OP b` (dst = guard_cmp_types,
+                    // t = kBrCanDiag); a guard that is not a comparison
+                    // compiles to `guard != 0` as u64
+  kCmdDispatch,     // command decode dispatch on operand a (sorted table)
   kIndirect,        // indirect-jump edge-set membership check
   kCmdEnd,          // active command ends
   kTrapUnmapped,    // dangling trained successor: step accounting, then
                     // CheckerFault — byte-compatible with the interpreter
                     // walking onto an unmapped site
 
-  // Expressions (dst = register index).
-  kConst,      // dst = imm (raw, untruncated — kConst semantics)
-  kLoadParam,  // dst = truncate(t, shadow.param(a))
+  // Expressions (dst = register index, a = operand).
+  kConst,      // dst = imm (raw, untruncated): a constant past the pool limit
+  kLoadParam,  // dst = truncate(t, shadow.param(a)): a param no operand takes
   kLoadLocal,  // dst = truncate(t, local a) | missing-local diag
-  kLoadIo,     // dst = io field a, type t
-  kBufLoad,    // dst = truncate(t, shadow.buf_load(b, regs[a], &diag))
-  kCast,       // dst = truncate(t, pattern_of(b, regs[a]))
-  kNeg,        // dst = -regs[a] with overflow diag (t = result, b = operand)
-  kBitNot,     // dst = truncate(t, ~pattern_of(b, regs[a]))
-  kLogNot,     // dst = interpret(b, regs[a]) == 0
-  // Binary: dst, a = lhs reg, b = rhs reg, c = res | lhs<<8 | rhs<<16 types.
+  kBufLoad,    // dst = truncate(t, shadow.buf_load(b, a, &diag))
+  kCast,       // dst = truncate(t, pattern_of(b, a))
+  kNeg,        // dst = -a with overflow diag (t = result, b = operand type)
+  kBitNot,     // dst = truncate(t, ~pattern_of(b, a))
+  kLogNot,     // dst = interpret(b, a) == 0
+  // Binary: dst, a = lhs, b = rhs, c = res | lhs<<8 | rhs<<16 types.
   kAdd, kSub, kMul, kDiv, kMod, kAnd, kOr, kXor, kShl, kShr,
   kEq, kNe, kLt, kLe, kGt, kGe, kLAnd, kLOr,
 
-  // Statements.
-  kStoreParam,   // shadow.set_param(b, regs[a])
-  kStoreLocal,   // shadow.set_local(b, regs[a])
-  kBufStore,     // shadow.buf_store(b, regs[a], regs[dst], t ? &diag : null)
-  kBufFill,      // shadow.buf_fill(b, regs[a], regs[dst], t ? &diag : null)
+  // Statements (a = source operand).
+  kStoreParam,   // shadow.set_param(b, a)
+  kStoreLocal,   // shadow.set_local(b, a)
+  kBufStore,     // shadow.buf_store(b, a, dst, t ? &diag : null)
+  kBufFill,      // shadow.buf_fill(b, a, dst, t ? &diag : null)
   kDiagCheck,    // convert a pending stmt diag into a violation, reset
-
-  // Scalar-field superinstructions: the compiler resolves a scalar param's
-  // byte offset/width against the layout at compile time (emitted only when
-  // the id is a valid scalar — invalid ids keep the generic ops so the
-  // arena's runtime containment behavior is engine-identical). The verifier
-  // pins the width to 1, 2, 4 or 8 and bounds-checks offset+width against
-  // the arena, so even a garbled program stays inside arena memory.
-  kLoadScalar,      // dst = truncate(t, load_raw(c, b))      (b=width, c=off)
-  kStoreScalar,     // store_raw(c, b, truncate(t, regs[a]))  (t=field type)
-  kStoreScalarImm,  // store_raw(c, b, imm)  (imm pre-truncated at compile)
+  // Scalar-field store: the compiler resolves a scalar param's byte
+  // offset/width against the layout (emitted only when the id is a valid
+  // scalar — invalid ids keep kStoreParam so the arena's runtime
+  // containment is engine-identical). The verifier pins the width to 1, 2,
+  // 4 or 8 and bounds-checks offset+width against the arena.
+  kStoreScalar,  // store_raw(c, b, truncate(t, a))  (t = field type)
 
   kOpCount,
 };
@@ -91,28 +93,54 @@ struct Insn {
   uint8_t op = 0;     // Op
   uint8_t t = 0;      // type / flags (per-op)
   uint16_t dst = 0;   // destination register / secondary operand
-  uint16_t a = 0;     // register / id operand
-  uint16_t b = 0;     // register / id / pool-index operand
+  uint16_t a = 0;     // operand / id
+  uint16_t b = 0;     // operand / id / pool-index
   uint32_t c = 0;     // packed types / meta index / jump target
   uint64_t imm = 0;   // constant / packed branch targets
 };
+static_assert(sizeof(Insn) == 24);
 
-// kBranch flag bits (Insn::t) and direction bits (low byte of Insn::c; the
-// block-meta index lives in the high 24 bits of c).
+// kGuardCmpBranch flag bit (Insn::t) and direction bits (low byte of
+// Insn::c; the block-meta index lives in the high 24 bits of c).
 inline constexpr uint8_t kBrCanDiag = 1;         // guard can raise a diag
 inline constexpr uint32_t kDirTakenObserved = 1;
 inline constexpr uint32_t kDirTakenEnds = 2;
 inline constexpr uint32_t kDirNotTakenObserved = 4;
 inline constexpr uint32_t kDirNotTakenEnds = 8;
 
-/// kGuardCmpBranch operand spec (Insn::a / Insn::b):
-///   kind(2 bits) << 14 | IntType(3 bits) << 11 | id(11 bits)
-/// kind 0 = constant-pool index, 1 = scalar param, 2 = IoField.
-inline constexpr uint16_t operand_spec(unsigned kind, sedspec::IntType type,
+/// Operand encoding (Insn::a, Insn::b, and Insn::dst of kBufStore/kBufFill).
+/// Leaves:    kind(2 bits) << 14 | IntType(3 bits) << 11 | id(11 bits)
+/// Registers: kOpdReg << 14 | register(14 bits)
+/// A leaf reads as the raw value its register would have held: a constant
+/// untruncated, a scalar field or I/O field truncated to its IntType. A
+/// register holds its value already typed, so it carries no type.
+enum OperandKind : unsigned {
+  kOpdConst = 0,   // constant-pool index
+  kOpdScalar = 1,  // scalar param id (offset/width resolved at attach)
+  kOpdIo = 2,      // IoField
+  kOpdReg = 3,     // register
+};
+inline constexpr uint16_t kOperandIdMax = 0x7ff;
+inline constexpr uint16_t kOperandRegMax = 0x3fff;
+
+inline constexpr uint16_t operand_spec(OperandKind kind, sedspec::IntType type,
                                        uint16_t id) {
   return static_cast<uint16_t>((kind << 14) |
                                (static_cast<unsigned>(type) << 11) |
-                               (id & 0x7ff));
+                               (id & kOperandIdMax));
+}
+inline constexpr uint16_t reg_operand(uint16_t reg) {
+  return static_cast<uint16_t>((kOpdReg << 14) | (reg & kOperandRegMax));
+}
+
+/// kGuardCmpBranch's Insn::dst: lhs IntType | rhs IntType << 3 | BinaryOp
+/// (a comparison) << 8.
+inline constexpr uint16_t guard_cmp_types(sedspec::IntType lhs,
+                                          sedspec::IntType rhs,
+                                          sedspec::BinaryOp op) {
+  return static_cast<uint16_t>(static_cast<unsigned>(lhs) |
+                               (static_cast<unsigned>(rhs) << 3) |
+                               (static_cast<unsigned>(op) << 8));
 }
 
 /// Sentinel: the active command has no entry in the command-access table
@@ -186,10 +214,10 @@ struct BytecodeProgram {
 [[nodiscard]] std::shared_ptr<const BytecodeProgram> compile_program(
     const spec::EsCfg& cfg, const Device& device);
 
-/// Structural/memory-safety verifier: every register, pool index and jump
-/// target is range-checked against the program's own tables, scalar
-/// superinstructions against the attached device's arena, and the last
-/// instruction must be a terminator. Throws common DecodeError on the first
+/// Structural/memory-safety verifier: every register, operand, pool index
+/// and jump target is range-checked against the program's own tables,
+/// scalar stores and scalar operands against the attached device's layout,
+/// and the last instruction must be a terminator. Throws common DecodeError on the first
 /// violation. A verified program executes memory-safely even if its results
 /// are garbage.
 void verify_program(const BytecodeProgram& p,
@@ -240,12 +268,12 @@ class BytecodeEngine final : public CheckEngine {
   std::optional<uint64_t> active_cmd_;
   uint32_t active_access_ = kNoAccess;
 
-  // Scalar-field fast path for guard operands, resolved from the *trusted*
-  // layout (not the program) at attach() time: guard_w_[id] is 1, 2, 4 or 8,
-  // or 0 for "use the generic StateArena::param() path" (buffer or garbled
-  // id).
-  std::vector<uint32_t> guard_off_;
-  std::vector<uint8_t> guard_w_;
+  // Scalar operands, resolved from the *trusted* layout (not the program)
+  // at attach() time: for every scalar field id, its byte offset and its
+  // width (1, 2, 4 or 8; the verifier admits scalar operands only for such
+  // ids). Buffer fields keep width 0.
+  std::vector<uint32_t> scalar_off_;
+  std::vector<uint8_t> scalar_w_;
 };
 
 }  // namespace sedspec::checker::engine

@@ -6,16 +6,6 @@
 
 namespace sedspec::statelog {
 
-size_t DeviceStateLog::round_count() const {
-  size_t n = 0;
-  for (const LogEntry& e : entries_) {
-    if (e.kind == EntryKind::kRoundStart) {
-      ++n;
-    }
-  }
-  return n;
-}
-
 std::vector<DeviceStateLog::RoundView> DeviceStateLog::rounds() const {
   std::vector<RoundView> out;
   size_t begin = 0;
@@ -39,6 +29,7 @@ std::vector<DeviceStateLog::RoundView> DeviceStateLog::rounds() const {
 void DeviceStateLog::merge(const DeviceStateLog& other) {
   entries_.insert(entries_.end(), other.entries_.begin(),
                   other.entries_.end());
+  round_starts_ += other.round_starts_;
 }
 
 std::vector<uint8_t> DeviceStateLog::serialize() const {

@@ -60,12 +60,16 @@ struct LogEntry {
 /// One training run's log: a flat entry sequence plus round boundaries.
 class DeviceStateLog {
  public:
-  void append(LogEntry entry) { entries_.push_back(std::move(entry)); }
+  void append(LogEntry entry) {
+    round_starts_ += entry.kind == EntryKind::kRoundStart ? 1 : 0;
+    entries_.push_back(std::move(entry));
+  }
 
   [[nodiscard]] const std::vector<LogEntry>& entries() const {
     return entries_;
   }
-  [[nodiscard]] size_t round_count() const;
+  /// Number of kRoundStart entries, kept as entries are appended (O(1)).
+  [[nodiscard]] size_t round_count() const { return round_starts_; }
 
   /// Views of [begin, end) entry index ranges, one per round.
   struct RoundView {
@@ -83,6 +87,7 @@ class DeviceStateLog {
 
  private:
   std::vector<LogEntry> entries_;
+  size_t round_starts_ = 0;
 };
 
 /// The StateObserver a device's instrumentation context writes into while

@@ -352,6 +352,225 @@ TEST(CheckEngineDifferential2, VisitBoundBoundaryLockstep) {
   }
 }
 
+// A device whose layout has more fields than an operand id (11 bits) can
+// name: 0x901 u32 scalars, then a 16-byte buffer.
+class WideDevice final : public Device {
+ public:
+  explicit WideDevice(const DeviceProgram* program) : Device(program) {}
+  uint64_t io_read(const IoAccess&) override { return 0; }
+  void io_write(const IoAccess&) override {}
+
+ protected:
+  void reset_device() override {}
+};
+
+std::unique_ptr<DeviceProgram> wide_program() {
+  StateLayout layout("wide");
+  for (int i = 0; i <= 0x900; ++i) {
+    layout.add_scalar("f" + std::to_string(i), FieldKind::kRegister,
+                      IntType::kU32);
+  }
+  layout.add_buffer("buf", 1, 16);
+  auto program =
+      std::make_unique<DeviceProgram>("wide", std::move(layout), 0x1000);
+  program->add_plain("only", {});
+  return program;
+}
+
+// The operand encoding's edges, each against the interpreter: leaves the
+// encoding cannot express (a constant past pool index 0x7ff, a param id
+// above 0x7ff, a buffer field, a garbled id) fall back to a load dispatch;
+// casts of constants fold; only unsigned widening casts are elided; and a
+// fused compare whose operand is a register that raises a diag runs the
+// guard diag protocol. Each case also pins the lowering it exercises.
+TEST(CheckEngineDifferential2, OperandEncodingEdgesLockstep) {
+  const auto program = wide_program();
+  WideDevice device(program.get());
+  constexpr ParamId kHigh = 0x900;
+  constexpr ParamId kBuf = 0x901;
+  device.state().set_param(kHigh, 0x89abcdef);
+  device.state().set_param(1, 0x55);
+  const IntType U8 = IntType::kU8;
+  const IntType U16 = IntType::kU16;
+  const IntType U32 = IntType::kU32;
+  const IntType I8 = IntType::kI8;
+  const IntType I64 = IntType::kI64;
+  const auto v = [](IntType t) { return io_value(t); };
+
+  std::vector<IoAccess> stream;
+  for (const uint64_t value :
+       {uint64_t{0}, uint64_t{1}, uint64_t{10}, uint64_t{55}, uint64_t{56},
+        uint64_t{0x7f}, uint64_t{0x80}, uint64_t{0xff}, uint64_t{0x1ff},
+        uint64_t{0x8000}, uint64_t{0x12345678}, uint64_t{0xfffffffe},
+        UINT64_MAX}) {
+    stream.push_back(IoAccess{IoSpace::kPio, 0, 4, value, true});
+  }
+
+  struct Case {
+    const char* what;
+    StmtList dsod;
+    ExprRef guard;
+    std::function<void(const size_t* count)> pin;
+  };
+  std::vector<Case> cases;
+  const auto n = [](const size_t* count, Op op) {
+    return count[static_cast<size_t>(op)];
+  };
+
+  {
+    // 0x820 distinct constants: the last 0x20 sit past pool index 0x7ff.
+    StmtList dsod;
+    for (uint64_t i = 0; i < 0x820; ++i) {
+      dsod.push_back(assign_local(1, c(0x10000 + i, U32)));
+    }
+    dsod.push_back(assign(2, add(v(U32), c(0x10000 + 0x810, U32), U32)));
+    cases.push_back({"constant pool past 0x7ff", std::move(dsod),
+                     ge(v(U32), c(0x10000 + 0x815, U32)),
+                     [&](const size_t* count) {
+                       EXPECT_EQ(n(count, Op::kConst), 0x20u + 2);
+                     }});
+  }
+  {
+    StmtList dsod;
+    dsod.push_back(assign(2, add(param(kHigh, U32), v(U32), U32)));
+    cases.push_back({"param id above 0x7ff", std::move(dsod),
+                     lt(param(kHigh, U16), v(U16)),
+                     [&](const size_t* count) {
+                       EXPECT_EQ(n(count, Op::kLoadParam), 2u);
+                     }});
+  }
+  {
+    StmtList dsod;
+    dsod.push_back(assign_local(2, add(param(kBuf, U32), c(1, U32), U32)));
+    cases.push_back({"buffer field", std::move(dsod), c(1),
+                     [&](const size_t* count) {
+                       EXPECT_EQ(n(count, Op::kLoadParam), 1u);
+                     }});
+  }
+  {
+    StmtList dsod;
+    dsod.push_back(assign(2, add(param(0x7000, U32), v(U32), U32)));
+    cases.push_back({"garbled param id", std::move(dsod), c(1),
+                     [&](const size_t* count) {
+                       EXPECT_EQ(n(count, Op::kLoadParam), 1u);
+                     }});
+  }
+  {
+    // Casts of constants fold to a constant operand: no kCast, no kConst.
+    StmtList dsod;
+    dsod.push_back(assign(2, cast(c(0x1ff), U8)));
+    dsod.push_back(assign(3, cast(c(0x80, I8), U32)));
+    dsod.push_back(assign(4, cast(cast(c(0x12345), U8), I64)));
+    dsod.push_back(assign_local(5, add(cast(c(0xfff), U8), v(U8), U8)));
+    cases.push_back({"cast of a constant", std::move(dsod),
+                     eq(cast(c(0x1ff), U8), v(U8)),
+                     [&](const size_t* count) {
+                       EXPECT_EQ(n(count, Op::kCast), 0u);
+                       EXPECT_EQ(n(count, Op::kConst), 0u);
+                     }});
+  }
+  {
+    // (u32)(u8)value keeps the narrowing inner cast and elides the outer
+    // widening one; (u64)(u16)(u8)value elides both widenings.
+    StmtList dsod;
+    dsod.push_back(assign(2, cast(cast(v(U32), U8), U32)));
+    dsod.push_back(assign(3, cast(cast(cast(v(U8), U8), U16), IntType::kU64)));
+    dsod.push_back(
+        assign_local(4, add(cast(add(v(U8), c(1, U8), U8), U32), v(U32), U32)));
+    cases.push_back({"cast of a cast", std::move(dsod),
+                     ge(cast(cast(v(U32), U16), U32), c(0x100, U32)),
+                     [&](const size_t* count) {
+                       EXPECT_EQ(n(count, Op::kCast), 2u);
+                     }});
+  }
+  {
+    // Signed sources, signed targets and narrowings all stay.
+    StmtList dsod;
+    dsod.push_back(assign(2, cast(v(I8), U32)));
+    dsod.push_back(assign(3, cast(v(U8), I64)));
+    dsod.push_back(assign(4, cast(v(U32), U16)));
+    dsod.push_back(assign_local(5, cast(sub(v(U8), c(1, U8), U8), I8)));
+    cases.push_back({"signed or narrowing cast", std::move(dsod),
+                     lt(cast(v(U32), I8), c(0, I8)),
+                     [&](const size_t* count) {
+                       EXPECT_EQ(n(count, Op::kCast), 5u);
+                     }});
+  }
+  {
+    // u8 overflow in the guard's register operand: the fused compare must
+    // report it as a guard diag before taking a direction.
+    cases.push_back({"guard register operand raises a diag", {},
+                     ge(add(v(U8), c(200, U8), U8), c(10, U8)),
+                     [&](const size_t* count) {
+                       EXPECT_EQ(n(count, Op::kGuardCmpBranch), 1u);
+                       EXPECT_EQ(n(count, Op::kAdd), 1u);
+                     }});
+    cases.push_back({"guard operand reads a missing local", {},
+                     lt(local(7, U32), v(U32)),
+                     [&](const size_t* count) {
+                       EXPECT_EQ(n(count, Op::kGuardCmpBranch), 1u);
+                     }});
+    cases.push_back({"guard operand reads a buffer out of bounds", {},
+                     ne(buf_load(kBuf, v(U32), U8), c(0, U8)),
+                     [&](const size_t* count) {
+                       EXPECT_EQ(n(count, Op::kGuardCmpBranch), 1u);
+                     }});
+  }
+  // A guard that is not a comparison branches on its raw value != 0: a
+  // constant with bits above its type is taken, as in the interpreter.
+  for (ExprRef guard : {c(0x100, U8), v(U8), band(v(U32), c(3, U32), U32),
+                        land(v(U8), c(1, U8))}) {
+    cases.push_back({"guard that is not a comparison", {}, guard,
+                     [&](const size_t* count) {
+                       EXPECT_EQ(n(count, Op::kGuardCmpBranch), 1u);
+                     }});
+  }
+
+  size_t guard_diags = 0;
+  size_t guard_missing_locals = 0;
+  size_t logic_errors = 0;
+  for (Case& k : cases) {
+    spec::EsCfg es;
+    es.device_name = device.name();
+    spec::EsBlock b;
+    b.site = 0;
+    b.name = "edge";
+    b.max_visits_per_round = 1;
+    b.kind = BlockKind::kConditional;
+    b.dsod = std::move(k.dsod);
+    b.guard = k.guard;
+    // Only the taken direction is trained, so every round's direction
+    // shows in its violations.
+    b.taken.observed = true;
+    b.taken.ends = true;
+    es.blocks[0] = std::move(b);
+    es.entry_dispatch[IoKey{IoSpace::kPio, 0, true}] = 0;
+
+    const auto compiled = checker::engine::compile_program(es, device);
+    size_t count[static_cast<size_t>(Op::kOpCount)] = {};
+    for (const checker::engine::Insn& ins : compiled->code) {
+      ++count[ins.op];
+    }
+    k.pin(count);
+
+    std::vector<RoundOutcome> outcomes;
+    run_lockstep(es, device, stream, k.what, {}, {}, &outcomes);
+    for (const RoundOutcome& o : outcomes) {
+      logic_errors += o.threw_logic ? 1 : 0;
+      for (const checker::Violation& viol : o.result.violations) {
+        guard_diags += viol.detail.starts_with("in guard: ") ? 1 : 0;
+        guard_missing_locals +=
+            viol.detail == checker::engine::detail::kGuardUnresolvedSync ? 1
+                                                                          : 0;
+      }
+    }
+  }
+  // The diag and fault cases must actually have fired.
+  EXPECT_GT(guard_diags, 0u);
+  EXPECT_EQ(guard_missing_locals, stream.size());
+  EXPECT_EQ(logic_errors, 2 * stream.size());
+}
+
 // A blocked protection-mode round must not leave behind the command its
 // walk latched: EsChecker restores the pre-round latch, or clears it when
 // rollback recovery restored an older checkpoint.
@@ -803,14 +1022,11 @@ TEST_F(CheckEngineSerial, VerifierRejectsCorruptDecodedPrograms) {
   expect_reject(
       [](auto& p) { p.code.clear(); }, "empty code");
 
-  // Scalar superinstructions: offset+width must stay inside the arena, and
-  // the width must be one StateLayout creates, even where another fits.
+  // Scalar stores: offset+width must stay inside the arena, and the width
+  // must be one StateLayout creates, even where another fits.
   size_t scalar_pc = 0;
   for (size_t pc = 0; pc < program_->code.size(); ++pc) {
-    const uint8_t op = program_->code[pc].op;
-    if (op == static_cast<uint8_t>(Op::kStoreScalarImm) ||
-        op == static_cast<uint8_t>(Op::kLoadScalar) ||
-        op == static_cast<uint8_t>(Op::kStoreScalar)) {
+    if (program_->code[pc].op == static_cast<uint8_t>(Op::kStoreScalar)) {
       scalar_pc = pc;
       break;
     }
@@ -894,32 +1110,175 @@ TEST_F(CheckEngineSerial, PrecompiledEngineRejectsWrongDevice) {
       std::logic_error);
 }
 
-// Each superinstruction the engine keeps earns several percent of engine
-// time on the shipped devices (EXPERIMENTS.md, "Engine diet"). Pin that the
-// compiler still emits them for every device spec, so a lowering change
-// cannot silently fall back to the generic ops.
+// Every instruction that consumes a value reads it through one operand
+// encoding. verify_program must reject each way an operand can point
+// outside what the VM indexes with it, for every such instruction: a
+// constant index past the pool, an I/O field above kSpace, a register past
+// reg_count, and a scalar operand naming a buffer or a field the layout
+// does not have. (The four kinds fill the two-bit kind field, so there is
+// no invalid kind to encode.) One hand-built three-instruction program per
+// case.
+TEST_F(CheckEngineSerial, VerifierRejectsBadOperands) {
+  using checker::engine::BytecodeProgram;
+  using checker::engine::Insn;
+  using checker::engine::operand_spec;
+  using checker::engine::reg_operand;
+  const StateLayout& layout = wl_->device().program().layout();
+  ParamId scalar = 0;
+  while (layout.field(scalar).is_buffer()) {
+    ++scalar;
+  }
+  ParamId buffer = 0;
+  while (!layout.field(buffer).is_buffer()) {
+    ++buffer;
+  }
+
+  BytecodeProgram base;
+  base.reg_count = 4;
+  base.consts = {7};
+  base.blocks.resize(1);
+  base.words_per_block = 1;
+  base.tables.resize(1);
+  base.notes = {""};
+
+  // Which fields of each operand-taking instruction hold operands.
+  enum Slot { kA, kB, kDst };
+  struct Form {
+    Op op;
+    std::vector<Slot> slots;
+  };
+  std::vector<Form> forms = {
+      {Op::kGuardCmpBranch, {kA, kB}}, {Op::kCmdDispatch, {kA}},
+      {Op::kBufLoad, {kA}},
+      {Op::kCast, {kA}},          {Op::kNeg, {kA}},
+      {Op::kBitNot, {kA}},        {Op::kLogNot, {kA}},
+      {Op::kStoreParam, {kA}},    {Op::kStoreLocal, {kA}},
+      {Op::kBufStore, {kA, kDst}}, {Op::kBufFill, {kA, kDst}},
+      {Op::kStoreScalar, {kA}},
+  };
+  for (auto op = static_cast<uint8_t>(Op::kAdd);
+       op <= static_cast<uint8_t>(Op::kLOr); ++op) {
+    forms.push_back({static_cast<Op>(op), {kA, kB}});
+  }
+
+  const auto program_with = [&](Op op, Slot slot, uint16_t operand) {
+    Insn ins{.op = static_cast<uint8_t>(op)};
+    if (op == Op::kGuardCmpBranch) {
+      ins.dst = checker::engine::guard_cmp_types(IntType::kU8, IntType::kU8,
+                                                 BinaryOp::kEq);
+    } else if (op == Op::kStoreScalar) {
+      ins.b = 1;  // width 1 at offset 0
+    }
+    ins.a = reg_operand(1);
+    if (op == Op::kBufStore || op == Op::kBufFill) {
+      ins.dst = reg_operand(2);
+    }
+    if (op >= Op::kAdd && op <= Op::kLOr) {
+      ins.b = reg_operand(2);
+    }
+    (slot == kA ? ins.a : slot == kB ? ins.b : ins.dst) = operand;
+    BytecodeProgram p = base;
+    p.code = {Insn{}, ins, Insn{}};  // kEnd, the instruction, kEnd
+    return p;
+  };
+
+  const uint16_t good[] = {
+      operand_spec(checker::engine::kOpdConst, IntType::kU8, 0),
+      operand_spec(checker::engine::kOpdIo, IntType::kU8, 4),
+      operand_spec(checker::engine::kOpdScalar, IntType::kU8, scalar),
+      reg_operand(3),
+  };
+  const struct {
+    uint16_t operand;
+    const char* what;
+  } bad[] = {
+      {operand_spec(checker::engine::kOpdConst, IntType::kU8, 1),
+       "constant index past the pool"},
+      {operand_spec(checker::engine::kOpdIo, IntType::kU8, 5),
+       "io field above 4"},
+      {reg_operand(4), "register past reg_count"},
+      {operand_spec(checker::engine::kOpdScalar, IntType::kU8, buffer),
+       "scalar operand naming a buffer"},
+      {operand_spec(checker::engine::kOpdScalar, IntType::kU8,
+                    static_cast<uint16_t>(layout.field_count())),
+       "scalar operand past the layout"},
+  };
+  size_t rejected = 0;
+  for (const Form& f : forms) {
+    for (const Slot slot : f.slots) {
+      const std::string ctx = "op " + std::to_string(static_cast<int>(f.op)) +
+                              " slot " + std::to_string(slot);
+      for (const uint16_t operand : good) {
+        EXPECT_NO_THROW(checker::engine::verify_program(
+            program_with(f.op, slot, operand), layout))
+            << ctx << " operand " << operand;
+      }
+      for (const auto& b : bad) {
+        EXPECT_THROW(checker::engine::verify_program(
+                         program_with(f.op, slot, b.operand), layout),
+                     DecodeError)
+            << ctx << ": " << b.what;
+        ++rejected;
+      }
+    }
+  }
+  EXPECT_EQ(rejected, 5u * (15 + 2 * 18));  // 15 non-binary slots
+}
+
+// The shipped specs read their leaves in place: a kConst or kLoadParam in a
+// compiled program is only ever a fallback for a leaf the operand encoding
+// cannot express, and no kCast left in it is an unsigned widening the
+// compiler should have elided. The fused compare-and-branch and the scalar
+// store must still be emitted.
 class CheckEngineProgram : public ::testing::TestWithParam<std::string> {};
 
 INSTANTIATE_TEST_SUITE_P(AllDevices, CheckEngineProgram,
                          ::testing::ValuesIn(guest::workload_names()),
                          device_test_name);
 
-TEST_P(CheckEngineProgram, ShippedSpecsEmitSuperinstructions) {
+TEST_P(CheckEngineProgram, ShippedSpecsUseOperandForms) {
+  using checker::engine::kOperandIdMax;
   auto wl = guest::make_workload(GetParam());
   const spec::EsCfg es =
       pipeline::build_spec(wl->device(), [&] { wl->training(); });
   const auto program = checker::engine::compile_program(es, wl->device());
+  const StateLayout& layout = wl->device().program().layout();
   size_t count[static_cast<size_t>(Op::kOpCount)] = {};
   for (const checker::engine::Insn& ins : program->code) {
     ASSERT_LT(ins.op, static_cast<uint8_t>(Op::kOpCount));
     ++count[ins.op];
+    switch (static_cast<Op>(ins.op)) {
+      case Op::kConst: {
+        const auto it = std::find(program->consts.begin(),
+                                  program->consts.end(), ins.imm);
+        EXPECT_GT(it - program->consts.begin(), kOperandIdMax)
+            << "constant " << ins.imm << " fits a pool operand";
+        break;
+      }
+      case Op::kLoadParam: {
+        const bool scalar = ins.a < layout.field_count() &&
+                            !layout.field(ins.a).is_buffer() &&
+                            StateArena::is_scalar_width(layout.field(ins.a).size);
+        EXPECT_TRUE(ins.a > kOperandIdMax || !scalar)
+            << "param " << ins.a << " fits a scalar operand";
+        break;
+      }
+      case Op::kCast: {
+        const auto to = static_cast<IntType>(ins.t & 7);
+        const auto from = static_cast<IntType>(ins.b & 7);
+        EXPECT_TRUE(is_signed(to) || is_signed(from) ||
+                    bits_of(to) < bits_of(from))
+            << "unsigned widening cast left in the program";
+        break;
+      }
+      default:
+        break;
+    }
   }
   const auto n = [&](Op op) { return count[static_cast<size_t>(op)]; };
   EXPECT_GE(n(Op::kGuardCmpBranch), 1u);
-  EXPECT_GE(n(Op::kLoadScalar), 1u);
-  EXPECT_GE(n(Op::kStoreScalar) + n(Op::kStoreScalarImm), 1u);
-  EXPECT_NO_THROW(checker::engine::verify_program(
-      *program, wl->device().program().layout()));
+  EXPECT_GE(n(Op::kStoreScalar), 1u);
+  EXPECT_NO_THROW(checker::engine::verify_program(*program, layout));
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 // iteration, binary round-trip, and the observation-plan site filter.
 #include <gtest/gtest.h>
 
+#include "guest/workload.h"
+#include "sedspec/pipeline.h"
 #include "statelog/statelog.h"
 
 namespace sedspec {
@@ -90,6 +92,24 @@ TEST(StateLog, MergeConcatenates) {
   DeviceStateLog merged = a.take();
   merged.merge(b.log());
   EXPECT_EQ(merged.round_count(), 2u);
+}
+
+// round_count() is kept as entries are appended rather than recounted; on
+// a real training log it must agree with the round iterator, also after a
+// binary round trip and a merge.
+TEST(StateLog, RoundCountMatchesRoundsOnRecordedTrainingLog) {
+  auto wl = guest::make_workload("fdc");
+  const pipeline::CollectionResult collected =
+      pipeline::collect(wl->device(), [&] { wl->training(); });
+  const DeviceStateLog& log = collected.log;
+  const size_t rounds = log.rounds().size();
+  ASSERT_GT(rounds, 0u);
+  EXPECT_EQ(log.round_count(), rounds);
+  DeviceStateLog restored = DeviceStateLog::deserialize(log.serialize());
+  EXPECT_EQ(restored.round_count(), rounds);
+  restored.merge(log);
+  EXPECT_EQ(restored.round_count(), 2 * rounds);
+  EXPECT_EQ(restored.rounds().size(), 2 * rounds);
 }
 
 TEST(StateLog, MalformedRoundStructureThrows) {
