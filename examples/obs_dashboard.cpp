@@ -17,11 +17,12 @@
 // must contain pipeline phase begin/end pairs and at least one violation
 // event carrying a strategy label. Exit code 0 only if every check holds.
 //
+// The metrics snapshot also carries the FDC bus's access/blocked/proxy-
+// fault totals, which the bus counts per instance and publishes at scrape
+// time next to the checker's stats.
+//
 // Usage: obs_dashboard [--metrics PATH] [--prom PATH] [--trace PATH]
-//                      [--verbose]
 //   defaults: obs_metrics.json, obs_metrics.prom, obs_dashboard.trace.json
-//   --verbose: record per-access io_access / per-block traversal_step
-//              events too (bigger trace, finer Perfetto timeline)
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -89,7 +90,6 @@ int main(int argc, char** argv) {
   std::string metrics_path = "obs_metrics.json";
   std::string prom_path = "obs_metrics.prom";
   std::string trace_path = "obs_dashboard.trace.json";
-  bool verbose = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto value = [&](const char* flag) -> const char* {
@@ -108,12 +108,10 @@ int main(int argc, char** argv) {
       prom_path = v;
     } else if (const char* v = value("--trace")) {
       trace_path = v;
-    } else if (arg == "--verbose") {
-      verbose = true;
     } else {
       std::fprintf(stderr,
                    "usage: obs_dashboard [--metrics PATH] [--prom PATH] "
-                   "[--trace PATH] [--verbose]\n");
+                   "[--trace PATH]\n");
       return 2;
     }
   }
@@ -121,8 +119,6 @@ int main(int argc, char** argv) {
   set_log_level(LogLevel::kError);
   obs::set_timing_enabled(true);
   static obs::EventTracer tracer(1 << 16);
-  tracer.set_detail(verbose ? obs::EventTracer::Detail::kVerbose
-                            : obs::EventTracer::Detail::kNormal);
   obs::set_tracer(&tracer);
 
   // Phase spans: the full pipeline (trace pass, ITC-CFG, dataflow, observe
@@ -137,6 +133,7 @@ int main(int argc, char** argv) {
     wl->common_operation(guest::InteractionMode::kRandom, rng);
   }
   wl->checker()->publish_metrics(obs::metrics());
+  wl->bus().publish_metrics(obs::metrics(), "fdc");
 
   // CVE replay: scenario [0] is CVE-2015-3456 (VENOM, fdc). evaluate()
   // runs it unprotected, once per single strategy, and with all strategies

@@ -16,7 +16,6 @@
 #include "common/assert.h"
 #include "common/decode.h"
 #include "expr/type.h"
-#include "obs/trace.h"
 #include "vdev/device.h"
 
 namespace sedspec::checker::engine {
@@ -1206,8 +1205,6 @@ CheckResult BytecodeEngine::check(const IoAccess& io,
   const bool cond_on = strategy_enabled(*config_, Strategy::kConditionalJump);
   const bool param_on = strategy_enabled(*config_, Strategy::kParameter);
   const bool ind_on = strategy_enabled(*config_, Strategy::kIndirectJump);
-  obs::EventTracer* tr = obs::tracer();
-  const bool step_events = tr != nullptr && tr->verbose();
   ++epoch_;
   const uint64_t watchdog =
       std::max(config_->watchdog_steps, config_->max_steps + 1);
@@ -1291,8 +1288,8 @@ vm_next:
   VM_CASE(kProlog) {
     const Insn& ins = code[pc];
     // Interpreter-exact per-visit order: step accounting, watchdog, budget,
-    // step event, visit bound, sync resolution, command-access check.
-    // BlockMeta is read only to report a violation or a verbose step event.
+    // visit bound, sync resolution, command-access check. BlockMeta is read
+    // only to report a violation.
     if (++steps > step_limit) {
       if (steps > watchdog) {
         throw CheckerFault(detail::watchdog_tripped(steps));
@@ -1302,11 +1299,6 @@ vm_next:
             std::string(detail::kBudgetExceeded));
       }
       goto vm_done;
-    }
-    if (step_events) {
-      const BlockMeta& meta = p.blocks[ins.a];
-      tr->record(obs::EventType::kTraversalStep, "traversal_step",
-                 p.device_name, meta.name, meta.site);
     }
     if (visit_epoch_[ins.a] != epoch_) {
       visit_epoch_[ins.a] = epoch_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/assert.h"
-#include "obs/trace.h"
 #include "vdev/device.h"
 
 namespace sedspec::checker::engine {
@@ -125,10 +124,6 @@ CheckResult InterpreterEngine::check(const IoAccess& io,
   Traversal t;
   t.io = &io;
 
-  // Per-step events are high-frequency; only a verbose tracer records them.
-  obs::EventTracer* tr = obs::tracer();
-  const bool step_events = tr != nullptr && tr->verbose();
-
   ++epoch_;
 
   // The watchdog must sit strictly above the policy budget, or it would
@@ -180,10 +175,6 @@ CheckResult InterpreterEngine::check(const IoAccess& io,
       throw CheckerFault(detail::unmapped_site(t.current));
     }
     const EsBlock& block = *aux.block;
-    if (step_events) {
-      tr->record(obs::EventType::kTraversalStep, "traversal_step",
-                 cfg_->device_name, block.name, t.current);
-    }
 
     // Per-round visit bound (trained loop shape).
     if (visit_epoch_[t.current] != epoch_) {

@@ -135,7 +135,7 @@ ControlCampaignResult run_control_campaign(
       // A handful of failures, never more than one shard could absorb on
       // its own — bounded retry must ride through without a rollback.
       auto budget = std::make_shared<std::atomic<int64_t>>(
-          1 + static_cast<int64_t>(rng.below(svc.redeploy_max_retries)));
+          1 + static_cast<int64_t>(rng.below(enforce::kRedeployMaxRetries)));
       spec::SpecStore* store = &active;
       svc.spec_fetch = [budget, store](const std::string& device,
                                        spec::SnapshotRef& out) {

@@ -14,10 +14,6 @@ namespace sedspec::control {
 
 namespace {
 
-std::string shard_vm(const enforce::ShardSpec& s, size_t index) {
-  return s.vm.empty() ? "vm" + std::to_string(index) : s.vm;
-}
-
 std::string shard_base_label(const enforce::ShardSpec& s, size_t index) {
   return s.checker.metrics_label.empty()
              ? s.device + "#" + std::to_string(index)
@@ -123,7 +119,7 @@ StageObservation ControlPlane::observe_window(
     checker::CheckerConfig applied = fleet[i].checker;
     if (service_.policy != nullptr) {
       applied = apply_policy(
-          service_.policy->effective(shard_vm(fleet[i], i), fleet[i].device),
+          service_.policy->effective(enforce::shard_vm(i), fleet[i].device),
           applied);
     }
     const std::string strategies = checker::strategy_set_name(applied);

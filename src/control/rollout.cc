@@ -3,28 +3,12 @@
 #include <sstream>
 
 #include "common/bytes.h"
-#include "common/crc32.h"
 
 namespace sedspec::control {
 
 namespace {
 
 constexpr uint32_t kRolloutMagic = 0x4f4c5253u;  // "SRLO"
-constexpr size_t kEnvelope = spec::kSpecEnvelopeSize;
-
-void put_u32_at(std::vector<uint8_t>& bytes, size_t pos, uint32_t v) {
-  bytes[pos + 0] = static_cast<uint8_t>(v);
-  bytes[pos + 1] = static_cast<uint8_t>(v >> 8);
-  bytes[pos + 2] = static_cast<uint8_t>(v >> 16);
-  bytes[pos + 3] = static_cast<uint8_t>(v >> 24);
-}
-
-uint32_t get_u32_at(std::span<const uint8_t> bytes, size_t pos) {
-  return static_cast<uint32_t>(bytes[pos]) |
-         static_cast<uint32_t>(bytes[pos + 1]) << 8 |
-         static_cast<uint32_t>(bytes[pos + 2]) << 16 |
-         static_cast<uint32_t>(bytes[pos + 3]) << 24;
-}
 
 spec::LoadError fail(spec::LoadStatus status, std::string detail) {
   spec::LoadError e;
@@ -151,52 +135,26 @@ StageDecision evaluate_stage(const RolloutThresholds& t,
 }
 
 std::vector<uint8_t> RolloutRecord::serialize() const {
-  sedspec::ByteWriter w;
-  w.u32(kRolloutMagic);
-  w.u32(kRolloutFormatVersion);
-  w.u32(0);  // payload length, patched below
-  w.u32(0);  // payload crc32, patched below
-  w.str(device);
-  w.u64(candidate_version);
-  w.u64(baseline_version);
-  w.u8(static_cast<uint8_t>(state));
-  w.u32(stage_index);
-  w.str(reason);
-  w.varbytes(baseline_spec);
-  std::vector<uint8_t> bytes = w.take();
-  const std::span<const uint8_t> payload{bytes.data() + kEnvelope,
-                                         bytes.size() - kEnvelope};
-  put_u32_at(bytes, 8, static_cast<uint32_t>(payload.size()));
-  put_u32_at(bytes, 12, crc32(payload));
-  return bytes;
+  return spec::seal_envelope(
+      kRolloutMagic, kRolloutFormatVersion, [&](sedspec::ByteWriter& w) {
+        w.str(device);
+        w.u64(candidate_version);
+        w.u64(baseline_version);
+        w.u8(static_cast<uint8_t>(state));
+        w.u32(stage_index);
+        w.str(reason);
+        w.varbytes(baseline_spec);
+      });
 }
 
 spec::LoadError RolloutRecord::load(std::span<const uint8_t> bytes,
                                     RolloutRecord& out) {
-  if (bytes.size() < kEnvelope) {
-    return fail(spec::LoadStatus::kTooShort,
-                "rollout record holds " + std::to_string(bytes.size()) +
-                    " bytes, envelope needs " + std::to_string(kEnvelope));
-  }
-  if (get_u32_at(bytes, 0) != kRolloutMagic) {
-    return fail(spec::LoadStatus::kBadMagic, "not a rollout record");
-  }
-  const uint32_t version = get_u32_at(bytes, 4);
-  if (version != kRolloutFormatVersion) {
-    return fail(spec::LoadStatus::kVersionSkew,
-                "rollout record format v" + std::to_string(version) +
-                    ", loader is v" + std::to_string(kRolloutFormatVersion));
-  }
-  const std::span<const uint8_t> payload = bytes.subspan(kEnvelope);
-  if (get_u32_at(bytes, 8) != payload.size()) {
-    return fail(spec::LoadStatus::kLengthMismatch,
-                "envelope claims " + std::to_string(get_u32_at(bytes, 8)) +
-                    " payload bytes, " + std::to_string(payload.size()) +
-                    " present");
-  }
-  if (get_u32_at(bytes, 12) != crc32(payload)) {
-    return fail(spec::LoadStatus::kCrcMismatch,
-                "rollout record integrity check failed");
+  std::span<const uint8_t> payload;
+  if (spec::LoadError e =
+          spec::open_envelope(bytes, kRolloutMagic, kRolloutFormatVersion,
+                              "rollout record", payload);
+      !e.ok()) {
+    return e;
   }
 
   RolloutRecord rec;

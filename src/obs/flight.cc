@@ -36,9 +36,6 @@ FlightRecorder::FlightRecorder(size_t shards, FlightConfig cfg) : cfg_(cfg) {
   for (size_t i = 0; i < shards; ++i) {
     rings_.push_back(
         std::make_unique<EventTracer>(cfg_.shard_ring_capacity));
-    // Shard rings record everything the checker hands them, including
-    // per-round I/O events — that is the whole point of a flight ring.
-    rings_.back()->set_detail(EventTracer::Detail::kVerbose);
   }
   last_dump_epoch_.assign(shards * kTriggerCount, ~uint64_t{0});
   slots_.resize(cfg_.max_bundles);

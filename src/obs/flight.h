@@ -10,7 +10,7 @@
 // (the soak driver injects the current TimeSeries window + SLO verdicts).
 // The bundle is self-contained JSON — every incident ships with the 2 ms
 // of history that preceded it, answering "what was the checker doing just
-// before this?" without a verbose global trace.
+// before this?" without a global trace.
 //
 // Cost model: a checker resolves its ring's EventKeys once when it attaches,
 // so recording a round is one keyed EventTracer::record — a clock read and

@@ -18,8 +18,6 @@ const char* event_type_name(EventType t) {
   switch (t) {
     case EventType::kIoAccess:
       return "io_access";
-    case EventType::kTraversalStep:
-      return "traversal_step";
     case EventType::kViolation:
       return "violation";
     case EventType::kQuarantine:

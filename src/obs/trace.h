@@ -24,10 +24,11 @@
 // exact. The intern table is mutex-guarded; ids (and so EventKeys) are
 // stable for the tracer's lifetime.
 //
-// Event vocabulary (EventType): guest I/O accesses, ES-CFG traversal steps,
+// Event vocabulary (EventType): checked guest I/O rounds (flight rings),
 // checker violations/quarantines/self-heals, DMA transfers, pipeline phase
-// begin/end pairs, and fault-campaign outcomes. io_access and
-// traversal_step are high-frequency and only recorded at Detail::kVerbose.
+// begin/end pairs, SLO breaches and fault-campaign outcomes. Nothing on the
+// per-access path (bus, DMA engine, check engines) emits into the global
+// tracer; a checker records its rounds only into its own flight ring.
 #pragma once
 
 #include <atomic>
@@ -46,8 +47,7 @@
 namespace sedspec::obs {
 
 enum class EventType : uint8_t {
-  kIoAccess = 0,      // one guest PIO/MMIO access (verbose only)
-  kTraversalStep,     // one ES-CFG block visit (verbose only)
+  kIoAccess = 0,      // one checked guest PIO/MMIO round (flight ring)
   kViolation,         // checker violation; detail = strategy label
   kQuarantine,        // fail-closed containment reset a device
   kSelfHeal,          // fail-open degradation healed (resync + re-attach)
@@ -81,22 +81,9 @@ struct EventKey {
 
 class EventTracer {
  public:
-  enum class Detail : uint8_t {
-    kNormal = 0,   // everything except per-access / per-step events
-    kVerbose = 1,  // adds io_access and traversal_step
-  };
-
   /// `capacity` is rounded up to a power of two, so claiming a slot is a
   /// mask rather than a division.
   explicit EventTracer(size_t capacity = 1 << 16);
-
-  void set_detail(Detail d) {
-    detail_.store(static_cast<uint8_t>(d), std::memory_order_relaxed);
-  }
-  [[nodiscard]] Detail detail() const {
-    return static_cast<Detail>(detail_.load(std::memory_order_relaxed));
-  }
-  [[nodiscard]] bool verbose() const { return detail() == Detail::kVerbose; }
 
   /// Interns `s` and returns its stable id. The table is bounded
   /// (kMaxStrings); once full, unseen strings collapse to one overflow id
@@ -206,7 +193,6 @@ class EventTracer {
   size_t capacity_ = 0;  // a power of two
   size_t mask_ = 0;      // capacity_ - 1
   std::atomic<uint64_t> head_{0};
-  std::atomic<uint8_t> detail_{0};
 };
 
 namespace detail {

@@ -125,8 +125,7 @@ void EnforcementService::run_shard(const ShardSpec& spec, uint32_t shard_id,
   // counted (tests assert the count stays zero).
   bus.bind_owner_thread();
 
-  const std::string vm =
-      spec.vm.empty() ? "vm" + std::to_string(shard_id) : spec.vm;
+  const std::string vm = shard_vm(shard_id);
   Rng rng(spec.seed);
   Rng backoff_rng = rng.fork();  // independent jitter stream
   obs::Counter* retry_counter = &obs::metrics().counter(
@@ -161,7 +160,7 @@ void EnforcementService::run_shard(const ShardSpec& spec, uint32_t shard_id,
       if (err.ok()) {
         return out;
       }
-      if (attempt >= config_.redeploy_max_retries) {
+      if (attempt >= kRedeployMaxRetries) {
         if (count_failure) {
           ++result.redeploy_failures;
           log_warn("enforce")

@@ -39,6 +39,16 @@ class FlightRecorder;
 
 namespace sedspec::enforce {
 
+/// VM identity of shard `shard` for policy inheritance (tenant → VM →
+/// device): every shard is its own VM, "vm<shard>".
+[[nodiscard]] inline std::string shard_vm(size_t shard) {
+  return "vm" + std::to_string(shard);
+}
+
+/// Spec-fetch retries before a shard stays on its pinned last-known-good
+/// snapshot (see ServiceConfig::spec_fetch).
+inline constexpr uint32_t kRedeployMaxRetries = 4;
+
 /// One VM's protected device shard.
 struct ShardSpec {
   std::string device;  // workload name (guest::workload_names())
@@ -46,9 +56,6 @@ struct ShardSpec {
   uint64_t seed = 1;    // per-shard deterministic RNG seed
   guest::InteractionMode mode = guest::InteractionMode::kSequential;
   checker::CheckerConfig checker;  // metrics_label defaults to device#shard
-  /// VM identity for policy inheritance (tenant → VM → device). Empty
-  /// defaults to "vm<shard_id>".
-  std::string vm;
   /// The VM owner opted out of enforcement. Honored ONLY while no policy
   /// layer sets the `enforce` bit for this device — the tighten-only
   /// model lets the fleet override this with one write.
@@ -96,13 +103,12 @@ struct ServiceConfig {
   /// here — transient LoadErrors are retried with bounded exponential
   /// backoff + jitter, counted in CheckerStats::redeploy_retries and the
   /// `redeploy_retries_total{shard}` obs counter. A fetch that still
-  /// fails after redeploy_max_retries leaves the shard on its pinned
+  /// fails after kRedeployMaxRetries leaves the shard on its pinned
   /// last-known-good snapshot (ShardResult::redeploy_failures).
   using SpecFetcher =
       std::function<spec::LoadError(const std::string& device,
                                     spec::SnapshotRef& out)>;
   SpecFetcher spec_fetch;
-  uint32_t redeploy_max_retries = 4;
   uint64_t redeploy_backoff_base_us = 50;
   uint64_t redeploy_backoff_max_us = 2000;
 

@@ -27,6 +27,13 @@ uint32_t get_u32_at(std::span<const uint8_t> bytes, size_t pos) {
          (static_cast<uint32_t>(bytes[pos + 3]) << 24);
 }
 
+LoadError fail(LoadStatus status, std::string detail) {
+  LoadError e;
+  e.status = status;
+  e.detail = std::move(detail);
+  return e;
+}
+
 template <typename Enum>
 Enum decode_enum(uint8_t raw, Enum max, const char* what) {
   SEDSPEC_CHECK_DECODE(raw <= static_cast<uint8_t>(max), what);
@@ -342,15 +349,8 @@ EsCfg read_payload(std::span<const uint8_t> payload) {
 }  // namespace
 
 std::vector<uint8_t> serialize(const EsCfg& cfg) {
-  sedspec::ByteWriter w;
-  w.u32(kMagic);
-  w.u32(kSpecFormatVersion);
-  w.u32(0);  // payload length, patched below
-  w.u32(0);  // payload crc32, patched below
-  write_payload(w, cfg);
-  std::vector<uint8_t> bytes = w.take();
-  reseal(bytes);
-  return bytes;
+  return seal_envelope(kMagic, kSpecFormatVersion,
+                       [&](sedspec::ByteWriter& w) { write_payload(w, cfg); });
 }
 
 void reseal(std::vector<uint8_t>& bytes) {
@@ -363,42 +363,51 @@ void reseal(std::vector<uint8_t>& bytes) {
   put_u32_at(bytes, 12, crc32(payload));
 }
 
-LoadResult load(std::span<const uint8_t> bytes) {
-  LoadResult out;
-  auto fail = [&out](LoadStatus status, std::string detail) -> LoadResult& {
-    out.error.status = status;
-    out.error.detail = std::move(detail);
-    return out;
-  };
-
+LoadError open_envelope(std::span<const uint8_t> bytes, uint32_t magic,
+                        uint32_t version, std::string_view artifact,
+                        std::span<const uint8_t>& payload) {
   if (bytes.size() < kSpecEnvelopeSize) {
     return fail(LoadStatus::kTooShort,
-                std::to_string(bytes.size()) + " bytes, envelope needs " +
+                std::string(artifact) + " holds " +
+                    std::to_string(bytes.size()) + " bytes, envelope needs " +
                     std::to_string(kSpecEnvelopeSize));
   }
-  if (get_u32_at(bytes, 0) != kMagic) {
-    return fail(LoadStatus::kBadMagic, "not an ES-CFG artifact");
+  if (get_u32_at(bytes, 0) != magic) {
+    return fail(LoadStatus::kBadMagic, "not a " + std::string(artifact));
   }
-  const uint32_t version = get_u32_at(bytes, 4);
-  if (version != kSpecFormatVersion) {
+  const uint32_t found = get_u32_at(bytes, 4);
+  if (found != version) {
     return fail(LoadStatus::kVersionSkew,
-                "format v" + std::to_string(version) + ", expected v" +
-                    std::to_string(kSpecFormatVersion));
+                std::string(artifact) + " format v" + std::to_string(found) +
+                    ", loader is v" + std::to_string(version));
   }
-  const std::span<const uint8_t> payload = bytes.subspan(kSpecEnvelopeSize);
-  if (get_u32_at(bytes, 8) != payload.size()) {
+  const std::span<const uint8_t> body = bytes.subspan(kSpecEnvelopeSize);
+  if (get_u32_at(bytes, 8) != body.size()) {
     return fail(LoadStatus::kLengthMismatch,
                 "envelope claims " + std::to_string(get_u32_at(bytes, 8)) +
-                    " payload bytes, " + std::to_string(payload.size()) +
+                    " payload bytes, " + std::to_string(body.size()) +
                     " present");
   }
-  if (get_u32_at(bytes, 12) != crc32(payload)) {
-    return fail(LoadStatus::kCrcMismatch, "payload integrity check failed");
+  if (get_u32_at(bytes, 12) != crc32(body)) {
+    return fail(LoadStatus::kCrcMismatch,
+                std::string(artifact) + " payload integrity check failed");
+  }
+  payload = body;
+  return LoadError{};
+}
+
+LoadResult load(std::span<const uint8_t> bytes) {
+  LoadResult out;
+  std::span<const uint8_t> payload;
+  out.error =
+      open_envelope(bytes, kMagic, kSpecFormatVersion, "spec", payload);
+  if (!out.error.ok()) {
+    return out;
   }
   try {
     out.cfg = read_payload(payload);
   } catch (const sedspec::DecodeError& e) {
-    return fail(LoadStatus::kMalformed, e.what());
+    out.error = fail(LoadStatus::kMalformed, e.what());
   }
   return out;
 }

@@ -25,6 +25,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/bytes.h"
@@ -86,5 +87,32 @@ void write_stmt(sedspec::ByteWriter& w, const sedspec::Stmt& s);
 /// envelope, and the structural decoder — not the CRC — is what gets
 /// exercised). No-op on buffers smaller than the envelope.
 void reseal(std::vector<uint8_t>& bytes);
+
+/// The integrity envelope every persisted artifact (spec, spec store,
+/// rollout record) shares; only the magic and the format version differ.
+/// seal_envelope() writes magic, version and the length/CRC slots, appends
+/// whatever `write_payload(w)` writes, then fills the slots (reseal()).
+template <typename WritePayload>
+[[nodiscard]] std::vector<uint8_t> seal_envelope(uint32_t magic,
+                                                 uint32_t version,
+                                                 WritePayload&& write_payload) {
+  sedspec::ByteWriter w;
+  w.u32(magic);
+  w.u32(version);
+  w.u32(0);  // payload length, filled by reseal()
+  w.u32(0);  // payload crc32, filled by reseal()
+  write_payload(w);
+  std::vector<uint8_t> bytes = w.take();
+  reseal(bytes);
+  return bytes;
+}
+
+/// Validates an envelope in order (size, magic, version, length, CRC) and
+/// points `payload` at the bytes after it. The first failing check decides
+/// the LoadStatus; `artifact` names the artifact in the detail text.
+[[nodiscard]] LoadError open_envelope(std::span<const uint8_t> bytes,
+                                      uint32_t magic, uint32_t version,
+                                      std::string_view artifact,
+                                      std::span<const uint8_t>& payload);
 
 }  // namespace sedspec::spec

@@ -1,28 +1,12 @@
 #include "spec/spec_store.h"
 
 #include "common/bytes.h"
-#include "common/crc32.h"
 
 namespace sedspec::spec {
 
 namespace {
 
 constexpr uint32_t kStoreMagic = 0x53535452u;  // "SSTR"
-constexpr size_t kEnvelope = kSpecEnvelopeSize;
-
-void put_u32_at(std::vector<uint8_t>& bytes, size_t pos, uint32_t v) {
-  bytes[pos + 0] = static_cast<uint8_t>(v);
-  bytes[pos + 1] = static_cast<uint8_t>(v >> 8);
-  bytes[pos + 2] = static_cast<uint8_t>(v >> 16);
-  bytes[pos + 3] = static_cast<uint8_t>(v >> 24);
-}
-
-uint32_t get_u32_at(std::span<const uint8_t> bytes, size_t pos) {
-  return static_cast<uint32_t>(bytes[pos]) |
-         static_cast<uint32_t>(bytes[pos + 1]) << 8 |
-         static_cast<uint32_t>(bytes[pos + 2]) << 16 |
-         static_cast<uint32_t>(bytes[pos + 3]) << 24;
-}
 
 LoadError fail(LoadStatus status, std::string detail) {
   LoadError e;
@@ -80,51 +64,23 @@ uint64_t SpecStore::publish_count() const {
 
 std::vector<uint8_t> SpecStore::serialize() const {
   std::lock_guard lock(mu_);
-  sedspec::ByteWriter w;
-  w.u32(kStoreMagic);
-  w.u32(kStoreFormatVersion);
-  w.u32(0);  // payload length, patched below
-  w.u32(0);  // payload crc32, patched below
-  w.u32(static_cast<uint32_t>(specs_.size()));
-  for (const auto& [name, snap] : specs_) {
-    w.str(name);
-    w.u64(snap->version);
-    const std::vector<uint8_t> spec_bytes = spec::serialize(snap->cfg);
-    w.varbytes(spec_bytes);
-  }
-  std::vector<uint8_t> bytes = w.take();
-  const std::span<const uint8_t> payload{bytes.data() + kEnvelope,
-                                         bytes.size() - kEnvelope};
-  put_u32_at(bytes, 8, static_cast<uint32_t>(payload.size()));
-  put_u32_at(bytes, 12, crc32(payload));
-  return bytes;
+  return seal_envelope(
+      kStoreMagic, kStoreFormatVersion, [&](sedspec::ByteWriter& w) {
+        w.u32(static_cast<uint32_t>(specs_.size()));
+        for (const auto& [name, snap] : specs_) {
+          w.str(name);
+          w.u64(snap->version);
+          w.varbytes(spec::serialize(snap->cfg));
+        }
+      });
 }
 
 LoadError SpecStore::load(std::span<const uint8_t> bytes, SpecStore& out) {
-  if (bytes.size() < kEnvelope) {
-    return fail(LoadStatus::kTooShort,
-                "store buffer holds " + std::to_string(bytes.size()) +
-                    " bytes, envelope needs " + std::to_string(kEnvelope));
-  }
-  if (get_u32_at(bytes, 0) != kStoreMagic) {
-    return fail(LoadStatus::kBadMagic, "not a spec-store artifact");
-  }
-  const uint32_t version = get_u32_at(bytes, 4);
-  if (version != kStoreFormatVersion) {
-    return fail(LoadStatus::kVersionSkew,
-                "store format v" + std::to_string(version) + ", loader is v" +
-                    std::to_string(kStoreFormatVersion));
-  }
-  const std::span<const uint8_t> payload = bytes.subspan(kEnvelope);
-  if (get_u32_at(bytes, 8) != payload.size()) {
-    return fail(LoadStatus::kLengthMismatch,
-                "envelope claims " + std::to_string(get_u32_at(bytes, 8)) +
-                    " payload bytes, " + std::to_string(payload.size()) +
-                    " present");
-  }
-  if (get_u32_at(bytes, 12) != crc32(payload)) {
-    return fail(LoadStatus::kCrcMismatch,
-                "store payload integrity check failed");
+  std::span<const uint8_t> payload;
+  if (LoadError e = open_envelope(bytes, kStoreMagic, kStoreFormatVersion,
+                                  "spec store", payload);
+      !e.ok()) {
+    return e;
   }
 
   // Envelope intact: decode the entry list. ByteReader throws DecodeError

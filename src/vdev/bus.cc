@@ -5,7 +5,7 @@
 #include <thread>
 
 #include "common/assert.h"
-#include "obs/trace.h"
+#include "obs/metrics.h"
 
 namespace sedspec {
 
@@ -25,11 +25,6 @@ void spin_wait_ns(uint64_t ns) {
     // busy wait: models fixed hardware/hypervisor path latency
   }
 }
-
-IoBus::IoBus()
-    : obs_accesses_(&obs::metrics().counter("bus_accesses_total")),
-      obs_blocked_(&obs::metrics().counter("bus_blocked_total")),
-      obs_proxy_faults_(&obs::metrics().counter("bus_proxy_faults_total")) {}
 
 void IoBus::exit_cost() const {
   if (access_latency_ns_ == 0) {
@@ -56,13 +51,15 @@ void IoBus::check_owner() {
   }
 }
 
-void IoBus::trace_access_slow(obs::EventTracer& tr, const Device& dev,
-                              const IoAccess& io) const {
-  if (!tr.verbose()) {
-    return;
-  }
-  tr.record(obs::EventType::kIoAccess, "io_access", dev.name(),
-            io.is_write ? "write" : "read", io.addr, io.value);
+void IoBus::publish_metrics(obs::MetricsRegistry& registry,
+                            const std::string& label) const {
+  const std::string labels = obs::label({{"bus", label}});
+  auto set = [&](std::string_view name, uint64_t value) {
+    registry.gauge(name, labels).set(static_cast<int64_t>(value));
+  };
+  set("bus_accesses_total", accesses_);
+  set("bus_blocked_total", blocked_);
+  set("bus_proxy_faults_total", proxy_faults_);
 }
 
 void IoProxy::after_access(Device& /*device*/, const IoAccess& /*io*/) {}
@@ -75,7 +72,6 @@ bool IoBus::proxy_allows(Device& dev, const IoAccess& io) {
     // resort fail-closed — block the access rather than crash the VMM or
     // let an unchecked access through.
     ++proxy_faults_;
-    obs_proxy_faults_->inc();
     return false;
   }
 }
@@ -85,7 +81,6 @@ void IoBus::proxy_done(Device& dev, const IoAccess& io) {
     proxy_->after_access(dev, io);
   } catch (...) {
     ++proxy_faults_;
-    obs_proxy_faults_->inc();
   }
 }
 
@@ -110,14 +105,14 @@ Device* IoBus::device_at(IoSpace space, uint64_t addr) const {
 
 uint64_t IoBus::read(IoSpace space, uint64_t addr, uint8_t size) {
   check_owner();
-  note_access();
+  ++accesses_;
   exit_cost();
   Device* dev = device_at(space, addr);
   if (dev == nullptr) {
     return ~uint64_t{0} >> (64 - 8 * size);
   }
   if (dev->halted()) {
-    note_blocked();
+    ++blocked_;
     return 0;
   }
   IoAccess io;
@@ -126,14 +121,13 @@ uint64_t IoBus::read(IoSpace space, uint64_t addr, uint8_t size) {
   io.size = size;
   io.is_write = false;
   if (proxy_ != nullptr && !proxy_allows(*dev, io)) {
-    note_blocked();
+    ++blocked_;
     return 0;
   }
   const uint64_t value = dev->io_read(io);
-  IoAccess done = io;
-  done.value = value;
-  trace_access(*dev, done);
   if (proxy_ != nullptr) {
+    IoAccess done = io;
+    done.value = value;
     proxy_done(*dev, done);
   }
   return value;
@@ -141,14 +135,14 @@ uint64_t IoBus::read(IoSpace space, uint64_t addr, uint8_t size) {
 
 void IoBus::write(IoSpace space, uint64_t addr, uint8_t size, uint64_t value) {
   check_owner();
-  note_access();
+  ++accesses_;
   exit_cost();
   Device* dev = device_at(space, addr);
   if (dev == nullptr) {
     return;
   }
   if (dev->halted()) {
-    note_blocked();
+    ++blocked_;
     return;
   }
   IoAccess io;
@@ -158,11 +152,10 @@ void IoBus::write(IoSpace space, uint64_t addr, uint8_t size, uint64_t value) {
   io.value = value;
   io.is_write = true;
   if (proxy_ != nullptr && !proxy_allows(*dev, io)) {
-    note_blocked();
+    ++blocked_;
     return;
   }
   dev->io_write(io);
-  trace_access(*dev, io);
   if (proxy_ != nullptr) {
     proxy_done(*dev, io);
   }

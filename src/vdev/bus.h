@@ -8,14 +8,17 @@
 
 #include <atomic>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "expr/io.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
 #include "vdev/device.h"
 
 namespace sedspec {
+
+namespace obs {
+class MetricsRegistry;
+}  // namespace obs
 
 class IoProxy {
  public:
@@ -37,8 +40,6 @@ class IoProxy {
 
 class IoBus {
  public:
-  IoBus();
-
   /// Maps [base, base+len) in `space` to `device` (non-owning).
   void map(IoSpace space, uint64_t base, uint64_t len, Device* device);
 
@@ -59,6 +60,13 @@ class IoBus {
   /// by the bus backstop). A healthy deployment keeps this at zero.
   [[nodiscard]] uint64_t proxy_fault_count() const { return proxy_faults_; }
   void reset_stats() { accesses_ = blocked_ = proxy_faults_ = 0; }
+  /// Publishes the three counts above as `bus_accesses_total`,
+  /// `bus_blocked_total` and `bus_proxy_faults_total` gauges labeled
+  /// `bus="<label>"` into `registry` (snapshot semantics, like
+  /// publish_checker_stats: gauges are overwritten each call). The access
+  /// path itself touches no registry.
+  void publish_metrics(obs::MetricsRegistry& registry,
+                       const std::string& label) const;
 
   /// VM-exit cost model for the performance benchmarks: every dispatched
   /// access busy-waits this long, standing in for the KVM exit +
@@ -112,23 +120,6 @@ class IoBus {
   void check_owner();
   bool proxy_allows(Device& dev, const IoAccess& io);
   void proxy_done(Device& dev, const IoAccess& io);
-  void note_access() {
-    ++accesses_;
-    obs_accesses_->inc();
-  }
-  void note_blocked() {
-    ++blocked_;
-    obs_blocked_->inc();
-  }
-  /// Emits an io_access trace event when a verbose tracer is installed.
-  /// Inline gate: the no-tracer (default) path is one relaxed load.
-  void trace_access(const Device& dev, const IoAccess& io) const {
-    if (obs::EventTracer* tr = obs::tracer()) {
-      trace_access_slow(*tr, dev, io);
-    }
-  }
-  void trace_access_slow(obs::EventTracer& tr, const Device& dev,
-                         const IoAccess& io) const;
 
   std::vector<Mapping> mappings_;
   IoProxy* proxy_ = nullptr;
@@ -141,11 +132,6 @@ class IoBus {
   // unambiguously means "unbound"). Relaxed loads on the access path.
   std::atomic<uint64_t> owner_token_{0};
   std::atomic<uint64_t> owner_violations_{0};
-  // Process-wide totals in the default obs registry (resolved once at
-  // construction; relaxed-atomic increments on the access path).
-  obs::Counter* obs_accesses_;
-  obs::Counter* obs_blocked_;
-  obs::Counter* obs_proxy_faults_;
 };
 
 /// Busy-waits for `ns` nanoseconds (shared by the bus exit model and the

@@ -14,18 +14,13 @@
 #include <thread>
 #include <utility>
 
-#include "obs/metrics.h"
-#include "obs/trace.h"
 #include "vdev/memory.h"
 
 namespace sedspec {
 
 class DmaEngine {
  public:
-  explicit DmaEngine(GuestMemory* mem)
-      : mem_(mem),
-        obs_transfers_(&obs::metrics().counter("dma_transfers_total")),
-        obs_bytes_(&obs::metrics().counter("dma_bytes_total")) {}
+  explicit DmaEngine(GuestMemory* mem) : mem_(mem) {}
 
   /// Fault-injection seam (faultinject layer 3): consulted before every
   /// transfer. Returning a DmaFault makes the transfer fail outright
@@ -46,7 +41,7 @@ class DmaEngine {
   bool from_guest(uint64_t addr, std::span<uint8_t> out) {
     bytes_read_ += out.size();
     ++transfers_;
-    note_transfer(/*is_read=*/true, addr, out.size());
+    check_owner();
     if (fault_hook_) {
       if (auto f = fault_hook_(/*is_read=*/true, addr, out.size())) {
         ++faults_injected_;
@@ -65,7 +60,7 @@ class DmaEngine {
   bool to_guest(uint64_t addr, std::span<const uint8_t> data) {
     bytes_written_ += data.size();
     ++transfers_;
-    note_transfer(/*is_read=*/false, addr, data.size());
+    check_owner();
     if (fault_hook_) {
       if (auto f = fault_hook_(/*is_read=*/false, addr, data.size())) {
         ++faults_injected_;
@@ -105,18 +100,12 @@ class DmaEngine {
   }
 
  private:
-  void note_transfer(bool is_read, uint64_t addr, size_t len) {
+  void check_owner() {
     const uint64_t owner = owner_token_.load(std::memory_order_relaxed);
     if (owner != 0 &&
         owner != (std::hash<std::thread::id>{}(std::this_thread::get_id()) |
                   1)) {
       owner_violations_.fetch_add(1, std::memory_order_relaxed);
-    }
-    obs_transfers_->inc();
-    obs_bytes_->inc(len);
-    if (obs::EventTracer* tr = obs::tracer()) {
-      tr->record(obs::EventType::kDmaXfer, "dma_xfer", "dma",
-                 is_read ? "from_guest" : "to_guest", addr, len);
     }
   }
 
@@ -128,9 +117,6 @@ class DmaEngine {
   std::atomic<uint64_t> owner_token_{0};
   std::atomic<uint64_t> owner_violations_{0};
   FaultHook fault_hook_;
-  // Process-wide totals in the default obs registry.
-  obs::Counter* obs_transfers_;
-  obs::Counter* obs_bytes_;
 };
 
 }  // namespace sedspec

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -17,6 +18,9 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sedspec/pipeline.h"
+#include "vdev/bus.h"
+#include "vdev/dma.h"
+#include "vdev/memory.h"
 
 namespace sedspec {
 namespace {
@@ -312,6 +316,148 @@ TEST(ObsTimer, ScopedTimerIsGatedByTheGlobalSwitch) {
   obs::set_timing_enabled(true);
   { obs::ScopedTimer t(&h); }
   EXPECT_EQ(h.count(), 1u);
+}
+
+// Bus and DMA counters -----------------------------------------------------
+
+/// Vetoes, or throws from, before_access on demand.
+struct VetoProxy final : IoProxy {
+  bool allow = true;
+  bool fault = false;
+  bool before_access(Device& /*device*/, const IoAccess& /*io*/) override {
+    if (fault) {
+      throw std::runtime_error("proxy contract violation");
+    }
+    return allow;
+  }
+};
+
+/// One pass of drive_every_path() adds this much to each bus count.
+constexpr uint64_t kPathAccesses = 8;
+constexpr uint64_t kPathBlocked = 4;
+constexpr uint64_t kPathProxyFaults = 1;
+
+/// Drives `bus` (the FDC mapped at its base port, `proxy` installed)
+/// through every accounting path `passes` times: a mapped read and write,
+/// an unmapped read and write, a vetoed write, a read whose proxy throws,
+/// and a read and write while the device is halted.
+void drive_every_path(IoBus& bus, FdcDevice& fdc, VetoProxy& proxy,
+                      int passes) {
+  const uint64_t dor = FdcDevice::kBasePort + 2;
+  const uint64_t msr = FdcDevice::kBasePort + 4;
+  const uint64_t unmapped = 0x80;
+  for (int i = 0; i < passes; ++i) {
+    bus.read(IoSpace::kPio, msr, 1);
+    bus.write(IoSpace::kPio, dor, 1, 0x0c);
+    bus.read(IoSpace::kPio, unmapped, 1);
+    bus.write(IoSpace::kPio, unmapped, 1, 0);
+    proxy.allow = false;
+    bus.write(IoSpace::kPio, dor, 1, 0x0c);
+    proxy.allow = true;
+    proxy.fault = true;
+    bus.read(IoSpace::kPio, msr, 1);
+    proxy.fault = false;
+    fdc.set_halted(true);
+    bus.read(IoSpace::kPio, msr, 1);
+    bus.write(IoSpace::kPio, dor, 1, 0x0c);
+    fdc.set_halted(false);
+  }
+}
+
+size_t series_count(const obs::MetricsRegistry& reg) {
+  const obs::MetricsRegistry::Snapshot s = reg.snapshot();
+  return s.counters.size() + s.gauges.size() + s.histograms.size();
+}
+
+TEST(ObsBus, AccessAndDmaPathsTouchNoGlobalRegistryOrTracer) {
+  ObsGlobalGuard guard;
+  obs::EventTracer tracer(1 << 10);
+  obs::set_tracer(&tracer);
+  const size_t series_before = series_count(obs::metrics());
+
+  FdcDevice fdc_a;
+  FdcDevice fdc_b;
+  IoBus bus_a;
+  IoBus bus_b;
+  VetoProxy proxy_a;
+  VetoProxy proxy_b;
+  bus_a.map(IoSpace::kPio, FdcDevice::kBasePort, FdcDevice::kPortSpan, &fdc_a);
+  bus_b.map(IoSpace::kPio, FdcDevice::kBasePort, FdcDevice::kPortSpan, &fdc_b);
+  bus_a.set_proxy(&proxy_a);
+  bus_b.set_proxy(&proxy_b);
+  drive_every_path(bus_a, fdc_a, proxy_a, 2);
+  drive_every_path(bus_b, fdc_b, proxy_b, 1);
+
+  GuestMemory mem(4096);
+  DmaEngine dma(&mem);
+  std::vector<uint8_t> buf(64, 0x5a);
+  EXPECT_TRUE(dma.to_guest(0x100, buf));
+  EXPECT_TRUE(dma.from_guest(0x100, buf));
+  EXPECT_EQ(dma.transfer_count(), 2u);
+
+  // The counts live on the instances...
+  EXPECT_EQ(bus_a.access_count(), 2 * kPathAccesses);
+  EXPECT_EQ(bus_b.access_count(), kPathAccesses);
+  // ...and nothing on the way registered a series or recorded an event.
+  EXPECT_EQ(series_count(obs::metrics()), series_before);
+  for (const auto& c : obs::metrics().snapshot().counters) {
+    EXPECT_FALSE(c.name.starts_with("bus_") || c.name.starts_with("dma_"))
+        << c.name;
+  }
+  EXPECT_EQ(tracer.recorded(), 0u);
+}
+
+TEST(ObsBus, PublishMetricsExportsEachBusUnderItsOwnLabel) {
+  FdcDevice fdc_a;
+  FdcDevice fdc_b;
+  IoBus bus_a;
+  IoBus bus_b;
+  VetoProxy proxy_a;
+  VetoProxy proxy_b;
+  bus_a.map(IoSpace::kPio, FdcDevice::kBasePort, FdcDevice::kPortSpan, &fdc_a);
+  bus_b.map(IoSpace::kPio, FdcDevice::kBasePort, FdcDevice::kPortSpan, &fdc_b);
+  bus_a.set_proxy(&proxy_a);
+  bus_b.set_proxy(&proxy_b);
+  drive_every_path(bus_a, fdc_a, proxy_a, 3);
+  drive_every_path(bus_b, fdc_b, proxy_b, 1);
+  ASSERT_EQ(bus_a.access_count(), 3 * kPathAccesses);
+  ASSERT_EQ(bus_a.blocked_count(), 3 * kPathBlocked);
+  ASSERT_EQ(bus_a.proxy_fault_count(), 3 * kPathProxyFaults);
+  ASSERT_EQ(bus_b.access_count(), kPathAccesses);
+  ASSERT_EQ(bus_b.blocked_count(), kPathBlocked);
+  ASSERT_EQ(bus_b.proxy_fault_count(), kPathProxyFaults);
+
+  obs::MetricsRegistry reg;
+  auto expect_exported = [&](const IoBus& bus, const std::string& name) {
+    const std::string labels = obs::label({{"bus", name}});
+    const struct {
+      const char* series;
+      uint64_t value;
+    } want[] = {{"bus_accesses_total", bus.access_count()},
+                {"bus_blocked_total", bus.blocked_count()},
+                {"bus_proxy_faults_total", bus.proxy_fault_count()}};
+    for (const auto& w : want) {
+      const obs::Gauge* g = reg.find_gauge(w.series, labels);
+      ASSERT_NE(g, nullptr) << w.series << "{" << labels << "}";
+      EXPECT_EQ(g->value(), static_cast<int64_t>(w.value))
+          << w.series << "{" << labels << "}";
+    }
+  };
+  bus_a.publish_metrics(reg, "vm0");
+  bus_b.publish_metrics(reg, "vm1");
+  expect_exported(bus_a, "vm0");
+  expect_exported(bus_b, "vm1");
+  EXPECT_EQ(series_count(reg), 6u);  // three gauges per bus, nothing else
+
+  // Snapshot semantics: a later publish overwrites, it does not add.
+  drive_every_path(bus_b, fdc_b, proxy_b, 1);
+  bus_b.publish_metrics(reg, "vm1");
+  expect_exported(bus_b, "vm1");
+  expect_exported(bus_a, "vm0");
+  EXPECT_EQ(series_count(reg), 6u);
+  EXPECT_NE(reg.to_prometheus().find(
+                "sedspec_bus_accesses_total{bus=\"vm1\"} 16"),
+            std::string::npos);
 }
 
 TEST(ObsCheckerIntegration, BlockedExploitEmitsViolationEventWithStrategy) {
