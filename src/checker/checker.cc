@@ -244,7 +244,7 @@ void EsChecker::emit_event(EventId id, uint64_t a) {
     tr->record(e.type, e.name, cfg_->device_name, e.detail, a);
   }
   if (hooks_.local_tracer != nullptr) {
-    hooks_.local_tracer->record(e.type, ring_keys_[id], a);
+    hooks_.local_tracer->record(e.type, ring_keys_[id], obs::now_ns(), a);
   }
 }
 
@@ -382,11 +382,13 @@ bool EsChecker::guarded_before_access(Device& device, const IoAccess& io) {
   stats_.total_steps += last_.steps;
   // Flight-recorder ring: one fixed-cost event per checked round so an
   // incident bundle carries the last-K rounds of context (address + step
-  // count identify what the guest was driving).
+  // count identify what the guest was driving). It follows the timing gate
+  // too: stamped with the probe's t0 when timed, and 0 ("untimed, ordered
+  // by ring position") otherwise, so an untimed round reads no clock.
   if (hooks_.local_tracer != nullptr) {
     hooks_.local_tracer->record(obs::EventType::kIoAccess,
                                 ring_keys_[io.is_write ? kIoWrite : kIoRead],
-                                io.addr, last_.steps);
+                                t0, io.addr, last_.steps);
   }
   if (!last_.clean()) [[unlikely]] {
     return violation_round(device, saved_cmd);

@@ -8,14 +8,20 @@
 // freezes that shard's ring into a FlightBundle: the resolved events, the
 // registry metrics at freeze time, and a caller-supplied context blob
 // (the soak driver injects the current TimeSeries window + SLO verdicts).
-// The bundle is self-contained JSON — every incident ships with the 2 ms
-// of history that preceded it, answering "what was the checker doing just
-// before this?" without a global trace.
+// The bundle is self-contained JSON — every incident ships with the last
+// shard_ring_capacity events that preceded it (256 by default: about 80 µs
+// of back-to-back fdc rounds at ~0.3 µs each, longer on a quieter shard),
+// answering "what was the checker doing just before this?" without a
+// global trace.
 //
 // Cost model: a checker resolves its ring's EventKeys once when it attaches,
-// so recording a round is one keyed EventTracer::record — a clock read and
-// a relaxed slot write, with no intern lock, no hash lookup and no
-// allocation. dump() runs wherever reports are drained (the service's
+// so recording a round is one keyed EventTracer::record — a relaxed
+// fetch_add and a slot write, with no intern lock, no hash lookup, no
+// allocation and no clock read. Round events follow the timing gate: with
+// obs::timing_enabled() on they carry the checker's latency-probe start
+// time, with it off ts_ns = 0 ("untimed", ordered by ring position).
+// Violation, quarantine, self-heal and every other event stay timed.
+// dump() runs wherever reports are drained (the service's
 // consumer thread, or the guest thread of a single-VM harness), often on
 // a warning round a guest keeps running through, so it freezes raw values
 // only: it copies the ring's TraceEvent slots and a values-only
@@ -74,7 +80,7 @@ struct FlightBundle {
   std::string reason;     // trigger-specific detail (device, SLO name, ...)
   /// Shard ring at freeze time, oldest-first, strings resolved.
   struct Event {
-    uint64_t ts_ns = 0;
+    uint64_t ts_ns = 0;  // 0 = untimed round event
     uint64_t a = 0;
     uint64_t b = 0;
     std::string type;

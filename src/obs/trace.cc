@@ -24,8 +24,6 @@ const char* event_type_name(EventType t) {
       return "quarantine";
     case EventType::kSelfHeal:
       return "self_heal";
-    case EventType::kDmaXfer:
-      return "dma_xfer";
     case EventType::kPhaseBegin:
       return "phase_begin";
     case EventType::kPhaseEnd:
@@ -118,10 +116,10 @@ EventKey EventTracer::key(std::string_view name, std::string_view cat,
   return k;
 }
 
-void EventTracer::record(EventType type, EventKey k, uint64_t a, uint64_t b,
-                         uint64_t dur_ns) {
+void EventTracer::record(EventType type, EventKey k, uint64_t ts_ns,
+                         uint64_t a, uint64_t b, uint64_t dur_ns) {
   TraceEvent ev;
-  ev.ts_ns = now_ns();
+  ev.ts_ns = ts_ns;
   ev.dur_ns = dur_ns;
   ev.a = a;
   ev.b = b;
@@ -136,7 +134,7 @@ void EventTracer::record(EventType type, EventKey k, uint64_t a, uint64_t b,
 void EventTracer::record(EventType type, std::string_view name,
                          std::string_view cat, std::string_view detail,
                          uint64_t a, uint64_t b, uint64_t dur_ns) {
-  record(type, key(name, cat, detail), a, b, dur_ns);
+  record(type, key(name, cat, detail), now_ns(), a, b, dur_ns);
 }
 
 void EventTracer::begin_phase(std::string_view name, std::string_view cat) {

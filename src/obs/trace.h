@@ -10,10 +10,13 @@
 // overwrites the oldest entries (dropped() counts them). Strings (event
 // names, device names, strategy labels) are interned into a bounded table
 // and referenced by id. The string record() overload interns on every call
-// (one locked hash lookup per string); a site that records the same event
-// shape repeatedly resolves an EventKey once via key() and records through
-// the keyed overload, which is a fixed-size slot write with no lock, no
-// lookup and no allocation.
+// (one locked hash lookup per string) and stamps the event with now_ns();
+// a site that records the same event shape repeatedly resolves an EventKey
+// once via key() and records through the keyed overload, which is a
+// fixed-size slot write with no lock, no lookup, no allocation and no
+// clock read: it stores the timestamp its caller passes, which is 0 for an
+// untimed event (a checker's per-round record while obs::timing_enabled()
+// is off). Untimed events are ordered by their ring position.
 //
 // Threading contract (concurrency layer): record() may be called from any
 // number of shard threads concurrently — every ring-slot field is a
@@ -25,8 +28,8 @@
 // stable for the tracer's lifetime.
 //
 // Event vocabulary (EventType): checked guest I/O rounds (flight rings),
-// checker violations/quarantines/self-heals, DMA transfers, pipeline phase
-// begin/end pairs, SLO breaches and fault-campaign outcomes. Nothing on the
+// checker violations/quarantines/self-heals, pipeline phase begin/end
+// pairs, SLO breaches and fault-campaign outcomes. Nothing on the
 // per-access path (bus, DMA engine, check engines) emits into the global
 // tracer; a checker records its rounds only into its own flight ring.
 #pragma once
@@ -51,7 +54,6 @@ enum class EventType : uint8_t {
   kViolation,         // checker violation; detail = strategy label
   kQuarantine,        // fail-closed containment reset a device
   kSelfHeal,          // fail-open degradation healed (resync + re-attach)
-  kDmaXfer,           // one DMA engine transfer
   kPhaseBegin,        // pipeline phase opened (Chrome 'B')
   kPhaseEnd,          // pipeline phase closed (Chrome 'E')
   kFaultOutcome,      // fault-injection campaign classified one fault
@@ -61,7 +63,7 @@ enum class EventType : uint8_t {
 [[nodiscard]] const char* event_type_name(EventType t);
 
 struct TraceEvent {
-  uint64_t ts_ns = 0;   // obs::now_ns() at record time
+  uint64_t ts_ns = 0;   // obs::now_ns() at record time; 0 = untimed
   uint64_t dur_ns = 0;  // 0 for instants and begin/end markers
   uint64_t a = 0;       // type-specific numeric arg (addr, site, layer, ...)
   uint64_t b = 0;       // type-specific numeric arg (value, bytes, ...)
@@ -99,11 +101,14 @@ class EventTracer {
   [[nodiscard]] EventKey key(std::string_view name, std::string_view cat,
                              std::string_view detail = {});
 
-  /// Fixed-cost record: a clock read, a relaxed fetch_add and a slot
-  /// write. `k` must come from this tracer's key().
-  void record(EventType type, EventKey k, uint64_t a = 0, uint64_t b = 0,
-              uint64_t dur_ns = 0);
-  /// Convenience for one-off events: interns all three strings first.
+  /// Fixed-cost record: a relaxed fetch_add and a slot write, no clock
+  /// read. `ts_ns` is the caller's timestamp (an obs::now_ns() value it
+  /// already holds, or 0 for an untimed event). `k` must come from this
+  /// tracer's key().
+  void record(EventType type, EventKey k, uint64_t ts_ns, uint64_t a = 0,
+              uint64_t b = 0, uint64_t dur_ns = 0);
+  /// Convenience for one-off events: interns all three strings first and
+  /// stamps the event with now_ns().
   void record(EventType type, std::string_view name, std::string_view cat,
               std::string_view detail = {}, uint64_t a = 0, uint64_t b = 0,
               uint64_t dur_ns = 0);

@@ -125,8 +125,8 @@ TEST(ObsTracer, RingWrapsOldestFirstAndCountsDrops) {
   EXPECT_EQ(tracer.capacity(), 8u);
   EXPECT_EQ(obs::EventTracer(5).capacity(), 8u);  // rounded up to 2^k
   for (uint64_t i = 0; i < 20; ++i) {
-    tracer.record(obs::EventType::kDmaXfer, "dma_xfer", "dma", "to_guest",
-                  /*a=*/i, /*b=*/0);
+    tracer.record(obs::EventType::kFaultOutcome, "fault_outcome", "fdc",
+                  "contained", /*a=*/i, /*b=*/0);
   }
   EXPECT_EQ(tracer.recorded(), 20u);
   EXPECT_EQ(tracer.size(), 8u);
@@ -135,7 +135,7 @@ TEST(ObsTracer, RingWrapsOldestFirstAndCountsDrops) {
   ASSERT_EQ(events.size(), 8u);
   for (size_t i = 0; i < events.size(); ++i) {
     EXPECT_EQ(events[i].a, 12 + i);  // oldest retained first
-    EXPECT_EQ(tracer.string_at(events[i].name), "dma_xfer");
+    EXPECT_EQ(tracer.string_at(events[i].name), "fault_outcome");
   }
   tracer.clear();
   EXPECT_EQ(tracer.size(), 0u);
@@ -154,7 +154,8 @@ TEST(ObsTracer, KeyedRecordResolvesLikeStringRecordWithoutInterning) {
   // Recording through a key never touches the intern table.
   const size_t interned = tracer.interned();
   for (uint64_t i = 0; i < 40; ++i) {
-    tracer.record(obs::EventType::kIoAccess, k, /*a=*/0x3f5, /*b=*/i);
+    tracer.record(obs::EventType::kIoAccess, k, /*ts_ns=*/0, /*a=*/0x3f5,
+                  /*b=*/i);
   }
   EXPECT_EQ(tracer.interned(), interned);
   // The string overload re-interns, but a hit does not grow the table.
@@ -191,7 +192,7 @@ TEST(ObsTracer, KeyedRecordRacesInternWithoutDataRace) {
     }
   });
   for (uint64_t i = 0; i < 20000; ++i) {
-    tracer.record(obs::EventType::kIoAccess, k, /*a=*/i);
+    tracer.record(obs::EventType::kIoAccess, k, /*ts_ns=*/0, /*a=*/i);
   }
   interner.join();
   EXPECT_EQ(tracer.recorded(), 20000u);
@@ -234,7 +235,7 @@ TEST(ObsTracer, ConcurrentRecordAndSnapshotKeepAccountingCoherent) {
       for (const obs::TraceEvent& ev : events) {
         // Interned ids resolve to the strings some writer recorded.
         const std::string name = tracer.string_at(ev.name);
-        EXPECT_TRUE(name.empty() || name == "dma_xfer");
+        EXPECT_TRUE(name.empty() || name == "fault_outcome");
       }
     }
   });
@@ -243,8 +244,8 @@ TEST(ObsTracer, ConcurrentRecordAndSnapshotKeepAccountingCoherent) {
   for (int w = 0; w < kWriters; ++w) {
     writers.emplace_back([&, w] {
       for (uint64_t i = 0; i < kPerWriter; ++i) {
-        tracer.record(obs::EventType::kDmaXfer, "dma_xfer", "dma",
-                      "to_guest", /*a=*/static_cast<uint64_t>(w), /*b=*/i);
+        tracer.record(obs::EventType::kFaultOutcome, "fault_outcome", "fdc",
+                      "contained", /*a=*/static_cast<uint64_t>(w), /*b=*/i);
       }
     });
   }
@@ -628,6 +629,76 @@ TEST(ObsFlightRing, ContainedFaultRecordsQuarantineWithPolicy) {
     }
   }
   EXPECT_EQ(quarantines, 1);
+}
+
+// The per-round record follows the timing gate: with timing off a round
+// reads no clock and its event carries ts_ns 0 (ordered by ring position),
+// while the rare events (violation, quarantine) stay timed; with timing on
+// round events carry the latency probe's start time.
+TEST(ObsFlightRing, RoundRecordsFollowTheTimingGate) {
+  ObsGlobalGuard guard;  // restores the timing switch
+  auto wl = guest::make_workload("fdc");
+  checker::CheckerConfig config;
+  config.monitor_only = true;  // rare operations warn, the device runs on
+  wl->build_and_deploy(config);
+  checker::EsChecker& chk = *wl->checker();
+  obs::EventTracer ring(1 << 16);
+  checker::CheckerHooks hooks;
+  hooks.local_tracer = &ring;
+  chk.attach(hooks);
+  Rng rng(7);
+
+  obs::set_timing_enabled(false);
+  wl->common_operation(guest::InteractionMode::kRandom, rng);
+  wl->rare_operation(rng);
+  // One contained fault (fail-closed by default): a quarantine event.
+  hooks.fault_hook = [n = 0](StateArena&) mutable {
+    checker::InternalFault f;
+    f.throw_in_traversal = ++n == 3;
+    return f;
+  };
+  chk.attach(hooks);
+  wl->common_operation(guest::InteractionMode::kSequential, rng);
+  ASSERT_EQ(chk.stats().quarantines, 1u);
+
+  size_t rounds = 0;
+  size_t violations = 0;
+  size_t quarantines = 0;
+  uint64_t last_rare_ts = 0;
+  for (const obs::TraceEvent& ev : ring.snapshot()) {
+    if (ev.type == obs::EventType::kIoAccess) {
+      EXPECT_EQ(ev.ts_ns, 0u);
+      ++rounds;
+      continue;
+    }
+    violations += ev.type == obs::EventType::kViolation;
+    quarantines += ev.type == obs::EventType::kQuarantine;
+    EXPECT_GT(ev.ts_ns, 0u) << obs::event_type_name(ev.type);
+    EXPECT_GE(ev.ts_ns, last_rare_ts);
+    last_rare_ts = ev.ts_ns;
+  }
+  EXPECT_GT(rounds, 0u);
+  EXPECT_GT(violations, 0u);
+  EXPECT_EQ(quarantines, 1u);
+
+  ring.clear();
+  hooks.fault_hook = nullptr;
+  chk.attach(hooks);
+  obs::set_timing_enabled(true);
+  wl->common_operation(guest::InteractionMode::kRandom, rng);
+  wl->rare_operation(rng);
+
+  rounds = 0;
+  uint64_t last_ts = 0;
+  for (const obs::TraceEvent& ev : ring.snapshot()) {
+    EXPECT_GE(ev.ts_ns, last_ts);  // every event, rounds and rare alike
+    last_ts = ev.ts_ns;
+    if (ev.type == obs::EventType::kIoAccess) {
+      EXPECT_GT(ev.ts_ns, 0u);
+      ++rounds;
+    }
+  }
+  EXPECT_GT(rounds, 0u);
 }
 
 }  // namespace

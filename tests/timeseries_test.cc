@@ -453,6 +453,48 @@ TEST(ObsFlight, EventsAreFrozenAtDumpTime) {
   }
 }
 
+// A checker's round events are untimed (ts_ns 0) while timing is off and
+// sit in the ring beside timed rare events; a bundle over such a ring
+// keeps ring order and renders both kinds as parseable JSON.
+TEST(ObsFlight, UntimedRoundEventsRenderInBundles) {
+  obs::FlightConfig cfg;
+  cfg.shard_ring_capacity = 16;
+  obs::FlightRecorder flight(1, cfg);
+  obs::EventTracer& ring = flight.shard_ring(0);
+  const obs::EventKey k = ring.key("io_write", "fdc");
+  for (uint64_t i = 0; i < 6; ++i) {
+    ring.record(obs::EventType::kIoAccess, k, /*ts_ns=*/0, 0x3f5, i);
+    if (i == 2) {
+      ring.record(obs::EventType::kViolation, "violation", "fdc",
+                  "parameter check", /*a=*/0x3f5);
+    }
+  }
+  ASSERT_TRUE(flight.dump(obs::FlightTrigger::kViolation, 0, "fdc"));
+
+  const obs::JsonValue doc = obs::json_parse(flight.to_json());
+  const obs::JsonValue* bundles = doc.find("bundles");
+  ASSERT_NE(bundles, nullptr);
+  ASSERT_EQ(bundles->array.size(), 1u);
+  const obs::JsonValue* events = bundles->array[0].find("events");
+  ASSERT_NE(events, nullptr);
+  ASSERT_EQ(events->array.size(), 7u);
+  double round = 0;
+  for (size_t i = 0; i < events->array.size(); ++i) {
+    const obs::JsonValue& e = events->array[i];
+    if (i == 3) {
+      EXPECT_EQ(e.find("type")->str, "violation");
+      EXPECT_EQ(e.find("detail")->str, "parameter check");
+      EXPECT_GT(e.find("ts_ns")->number, 0.0);
+      continue;
+    }
+    EXPECT_EQ(e.find("type")->str, "io_access");
+    EXPECT_EQ(e.find("name")->str, "io_write");
+    EXPECT_EQ(e.find("ts_ns")->number, 0.0);
+    EXPECT_EQ(e.find("b")->number, round);  // ring order, not clock order
+    ++round;
+  }
+}
+
 TEST(ObsFlight, DumpAndRenderWhileShardsRecord) {
   // Shard threads record into their rings and register metric series
   // while this thread dumps (copying rings, freezing the registry) and
@@ -469,7 +511,7 @@ TEST(ObsFlight, DumpAndRenderWhileShardsRecord) {
       obs::EventTracer& ring = flight.shard_ring(shard);
       const obs::EventKey k = ring.key("io_read", "fdc");
       for (uint64_t i = 0; !stop.load(std::memory_order_relaxed); ++i) {
-        ring.record(obs::EventType::kIoAccess, k, i, shard);
+        ring.record(obs::EventType::kIoAccess, k, /*ts_ns=*/0, i, shard);
         if (i % 64 == 0) {
           obs::metrics()
               .counter("flight_race_total",
@@ -521,7 +563,7 @@ TEST(ObsFlight, WarmDumpMakesNoHeapAllocations) {
     obs::EventTracer& ring = flight.shard_ring(shard);
     const obs::EventKey k = ring.key("io_write", "pcnet");
     for (uint64_t i = 0; i < 200; ++i) {  // full, wrapped rings
-      ring.record(obs::EventType::kIoAccess, k, i, i);
+      ring.record(obs::EventType::kIoAccess, k, /*ts_ns=*/0, i, i);
     }
   }
   // Warm both slots.
