@@ -267,7 +267,7 @@ bool write_soak_json(const SoakParams& p, const PhaseResult& benign,
     p50.push_back(lat ? static_cast<double>(lat->p50) : 0.0);
     p99.push_back(lat ? static_cast<double>(lat->p99) : 0.0);
     p999.push_back(lat ? static_cast<double>(lat->p999) : 0.0);
-    rounds.push_back(lat ? static_cast<double>(lat->count) : 0.0);
+    rounds.push_back(lat ? static_cast<double>(lat->state.count) : 0.0);
     const obs::WindowGauge* g = w.find_gauge("rss_bytes", "");
     rss.push_back(g != nullptr ? static_cast<double>(g->value) : 0.0);
   }

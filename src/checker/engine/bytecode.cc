@@ -56,6 +56,17 @@ using sedspec::Stmt;
 using sedspec::StmtKind;
 using spec::EsBlock;
 
+/// Row of command `cmd` in the per-command access bitsets (its index in the
+/// sorted `cmd_values`), or kNoAccess when the command has no row.
+uint32_t access_index(const BytecodeProgram& p, uint64_t cmd) {
+  const auto it = std::lower_bound(p.cmd_values.begin(), p.cmd_values.end(),
+                                   cmd);
+  if (it == p.cmd_values.end() || *it != cmd) {
+    return kNoAccess;
+  }
+  return static_cast<uint32_t>(it - p.cmd_values.begin());
+}
+
 /// Conservative over-approximation of "evaluating this expression can record
 /// an EvalDiag". Over-approximating is safe (kDiagCheck is a no-op on a
 /// clean diag); under-approximating would drop violations.
@@ -164,15 +175,6 @@ class Compiler {
         p_.access_words[row + (bit >> 6)] |= uint64_t{1} << (bit & 63);
       }
     }
-  }
-
-  [[nodiscard]] uint32_t access_index_for(uint64_t cmd) const {
-    const auto it =
-        std::lower_bound(p_.cmd_values.begin(), p_.cmd_values.end(), cmd);
-    if (it == p_.cmd_values.end() || *it != cmd) {
-      return kNoAccess;
-    }
-    return static_cast<uint32_t>(it - p_.cmd_values.begin());
   }
 
   // --- register allocation ------------------------------------------------
@@ -581,7 +583,7 @@ class Compiler {
       }
       DispatchEntry e;
       e.cmd = cmd;
-      e.access_idx = access_index_for(cmd);
+      e.access_idx = access_index(p_, cmd);
       if (!dir.ends) {
         table_fixups_.push_back(
             TableFixup{ti, table.entries.size(), dir.succ});
@@ -1138,28 +1140,15 @@ void BytecodeEngine::attach() {
   }
 }
 
-uint32_t BytecodeEngine::access_index_of(uint64_t cmd) const {
-  const auto it = std::lower_bound(program_->cmd_values.begin(),
-                                   program_->cmd_values.end(), cmd);
-  if (it == program_->cmd_values.end() || *it != cmd) {
-    return kNoAccess;
-  }
-  return static_cast<uint32_t>(it - program_->cmd_values.begin());
-}
-
 void BytecodeEngine::set_active_command(std::optional<uint64_t> cmd) {
   active_cmd_ = cmd;
-  active_access_ = cmd.has_value() ? access_index_of(*cmd) : kNoAccess;
+  active_access_ =
+      cmd.has_value() ? access_index(*program_, *cmd) : kNoAccess;
 }
 
-// Threaded-code dispatch on GCC/Clang (computed goto); portable switch
-// fallback elsewhere. Both bodies are generated from the same VM_CASE
-// blocks below.
-#if defined(__GNUC__) || defined(__clang__)
-#define SEDSPEC_VM_THREADED 1
-#endif
-
-#ifdef SEDSPEC_VM_THREADED
+// Threaded-code dispatch (computed goto, a GNU extension every supported
+// compiler has): each VM_CASE block below ends by jumping straight to the
+// next instruction's handler.
 #define VM_CASE(name) op_##name:
 #define VM_DISPATCH() goto* kJumpTable[code[pc].op]
 #define VM_NEXT() \
@@ -1172,19 +1161,6 @@ void BytecodeEngine::set_active_command(std::optional<uint64_t> cmd) {
     pc = static_cast<uint32_t>(target);    \
     VM_DISPATCH();                         \
   } while (0)
-#else
-#define VM_CASE(name) case Op::name:
-#define VM_NEXT() \
-  do {            \
-    ++pc;         \
-    goto vm_next; \
-  } while (0)
-#define VM_GOTO(target)                    \
-  do {                                     \
-    pc = static_cast<uint32_t>(target);    \
-    goto vm_next;                          \
-  } while (0)
-#endif
 
 CheckResult BytecodeEngine::check(const IoAccess& io,
                                   const RoundOptions& opts) {
@@ -1259,7 +1235,6 @@ CheckResult BytecodeEngine::check(const IoAccess& io,
     return result;
   }
 
-#ifdef SEDSPEC_VM_THREADED
   static const void* const kJumpTable[] = {
       &&op_kEnd,        &&op_kJump,       &&op_kProlog,
       &&op_kGuardCmpBranch, &&op_kCmdDispatch, &&op_kIndirect, &&op_kCmdEnd,
@@ -1276,10 +1251,6 @@ CheckResult BytecodeEngine::check(const IoAccess& io,
   static_assert(sizeof(kJumpTable) / sizeof(kJumpTable[0]) ==
                 static_cast<size_t>(Op::kOpCount));
   VM_DISPATCH();
-#else
-vm_next:
-  switch (static_cast<Op>(code[pc].op)) {
-#endif
 
   VM_CASE(kEnd) { goto vm_done; }
 
@@ -1614,18 +1585,11 @@ vm_next:
     VM_NEXT();
   }
 
-#ifndef SEDSPEC_VM_THREADED
-  default:
-    goto vm_done;  // unreachable: verify_program rejects unknown opcodes
-  }
-#endif
-
 vm_done:
   result.steps = steps;
   return result;
 }
 
-#undef SEDSPEC_VM_THREADED
 #undef VM_CASE
 #undef VM_DISPATCH
 #undef VM_NEXT

@@ -2,7 +2,7 @@
 //
 // At deploy time the spec::EsCfg and its expr/stmt ASTs are lowered into a
 // flat, immutable BytecodeProgram: one contiguous Insn array executed by a
-// threaded-code VM (computed-goto dispatch on GCC/Clang, switch fallback),
+// threaded-code VM (computed-goto dispatch),
 // plus side tables — block metadata, statement-note and constant pools,
 // sorted command dispatch tables, indirect-jump edge sets (dense bitmap or
 // sorted array + branchless binary search) and entry dispatch groups.
@@ -249,7 +249,6 @@ class BytecodeEngine final : public CheckEngine {
 
  private:
   void attach();
-  [[nodiscard]] uint32_t access_index_of(uint64_t cmd) const;
 
   std::shared_ptr<const BytecodeProgram> program_;
   Device* device_;

@@ -75,11 +75,7 @@ spec::LoadError ControlPlane::stage_candidate_serialized(
 }
 
 void ControlPlane::persist(const RolloutRecord& rec) {
-  std::vector<uint8_t> bytes = rec.serialize();
-  if (persist_filter) {
-    bytes = persist_filter(std::move(bytes));
-  }
-  journal_.push_back(std::move(bytes));
+  journal_.push_back(rec.serialize());
 }
 
 StageObservation ControlPlane::observe_window(
@@ -218,9 +214,6 @@ RolloutOutcome ControlPlane::run_rollout(
     w.observation = state == RolloutState::kShadow
                         ? observe_window(shards, canary, report, tag.str())
                         : confirm_observation(shards, canary, report);
-    if (slo_feed) {
-      w.observation.slo_breaches = slo_feed();
-    }
     if (observe_filter) {
       observe_filter(w.observation);
     }

@@ -13,7 +13,8 @@
 //   - ServiceConfig::spec_fetch   — corrupt/fail spec distribution
 //   - ShardSpec::op_hook          — crash shards mid-window
 //   - observe_filter              — delay/blind the metric feed
-//   - persist_filter              — corrupt the persisted rollout record
+// Persisted rollout records need no seam: the campaign damages a copy of
+// a journal() entry and resume()s from it.
 #pragma once
 
 #include <cstdint>
@@ -101,21 +102,9 @@ class ControlPlane {
     return journal_;
   }
 
-  /// SLO feed: invoked once per observation window, AFTER the window's
-  /// enforcement run and before the verdict. Returns the number of SLO
-  /// burn-rate breaches attributable to that window (typically
-  /// obs::SloEngine::breaches() deltas from a collector ticking alongside
-  /// the fleet); the count lands in StageObservation::slo_breaches, where
-  /// RolloutThresholds::max_slo_breaches can fail the rollout on it.
-  /// Unset = no SLO feed (slo_breaches stays 0).
-  std::function<uint64_t()> slo_feed;
-
   /// Fault seam: rewrites an assembled StageObservation before the verdict
   /// (models a delayed or lossy metric feed).
   std::function<void(StageObservation&)> observe_filter;
-  /// Fault seam: rewrites record bytes on their way to the journal (models
-  /// torn/corrupt persistence; resume() must reject the damage).
-  std::function<std::vector<uint8_t>(std::vector<uint8_t>)> persist_filter;
 
  private:
   void persist(const RolloutRecord& rec);

@@ -67,10 +67,6 @@ StageDecision evaluate_stage(const RolloutThresholds& t,
     return rollback("report loss: " + std::to_string(o.report_drops) +
                     " reports dropped (monitoring blinded)");
   }
-  if (o.slo_breaches > t.max_slo_breaches) {
-    return rollback("SLO breach: " + std::to_string(o.slo_breaches) +
-                    " burn-rate alert(s) fired inside the window");
-  }
   // Delayed / incomplete metric feed: not enough shadow evidence to judge
   // the candidate. Inconclusive — retry the window, never promote blind.
   if (o.shadow_rounds < t.min_shadow_rounds) {

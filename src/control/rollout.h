@@ -72,10 +72,6 @@ struct RolloutThresholds {
   /// Report-queue drops tolerated per window (report loss blinds the
   /// monitors, so by default any loss pauses promotion via retry).
   uint64_t max_report_drops = 0;
-  /// SLO burn-rate breaches (obs::SloEngine, fed via ControlPlane::
-  /// slo_feed) tolerated per window. Default 0: one breach during a live
-  /// rollout window rolls the candidate back.
-  uint64_t max_slo_breaches = 0;
   /// Observation completeness: fewer shadow rounds than this means the
   /// metric feed is delayed/stale — the stage is inconclusive and is
   /// retried, never promoted (and rolled back after max retries).
@@ -95,7 +91,6 @@ struct StageObservation {
   uint64_t quarantines = 0;            // fail-closed containments
   uint64_t contained_faults = 0;
   uint64_t report_drops = 0;
-  uint64_t slo_breaches = 0;           // SLO engine breaches in this window
   uint64_t active_check_ns = 0;        // accumulated, active checkers
   uint64_t candidate_check_ns = 0;     // accumulated, shadow checkers
   uint64_t active_rounds = 0;

@@ -45,13 +45,61 @@ void Histogram::record(uint64_t v) {
 
 Histogram::State Histogram::state() const {
   State s;
-  for (size_t i = 0; i < kBuckets; ++i) {
-    s.buckets[i] = bucket_count(i);
-  }
   s.count = count();
   s.sum = sum();
   s.max = max();
+  // A histogram that never recorded has only zero buckets. Most registered
+  // series are empty (latency histograms stay so while timing is off), and
+  // skipping their bucket cache lines keeps a flight dump's freeze() as
+  // cheap as one load of count/sum/max per series.
+  if (s.count == 0) {
+    return s;
+  }
+  for (size_t i = 0; i < kBuckets; ++i) {
+    s.buckets[i] = bucket_count(i);
+  }
   return s;
+}
+
+uint64_t Histogram::State::quantile(double q) const {
+  if (count == 0) {
+    return 0;
+  }
+  q = std::min(std::max(q, 0.0), 1.0);
+  const uint64_t target =
+      std::max<uint64_t>(1, static_cast<uint64_t>(std::ceil(q * count)));
+  uint64_t cumulative = 0;
+  for (size_t i = 0; i < kBuckets; ++i) {
+    cumulative += buckets[i];
+    if (cumulative >= target) {
+      return std::min(bucket_upper(i), max);
+    }
+  }
+  return max;
+}
+
+Histogram::State Histogram::State::delta_since(const State& base) const {
+  State d;
+  for (size_t i = 0; i < kBuckets; ++i) {
+    d.buckets[i] = buckets[i] >= base.buckets[i] ? buckets[i] - base.buckets[i]
+                                                 : 0;
+    if (d.buckets[i] != 0) {
+      d.max = bucket_upper(i);
+    }
+    d.count += d.buckets[i];
+  }
+  d.sum = sum >= base.sum ? sum - base.sum : 0;
+  d.max = std::min(d.max, max);
+  return d;
+}
+
+void Histogram::State::merge(const State& other) {
+  for (size_t i = 0; i < kBuckets; ++i) {
+    buckets[i] += other.buckets[i];
+  }
+  count += other.count;
+  sum += other.sum;
+  max = std::max(max, other.max);
 }
 
 void Histogram::merge(const Histogram& other) {
@@ -76,21 +124,7 @@ double Histogram::mean() const {
 }
 
 uint64_t Histogram::percentile(double q) const {
-  const uint64_t n = count();
-  if (n == 0) {
-    return 0;
-  }
-  q = std::min(std::max(q, 0.0), 1.0);
-  const uint64_t target =
-      std::max<uint64_t>(1, static_cast<uint64_t>(std::ceil(q * n)));
-  uint64_t cumulative = 0;
-  for (size_t i = 0; i < kBuckets; ++i) {
-    cumulative += bucket_count(i);
-    if (cumulative >= target) {
-      return std::min(bucket_upper(i), max());
-    }
-  }
-  return max();
+  return state().quantile(q);
 }
 
 // ---------------------------------------------------------------------------
@@ -136,6 +170,13 @@ std::string label(
   return out;
 }
 
+std::pair<std::string_view, std::string_view> split_key(
+    std::string_view key) {
+  const size_t brace = key.find('{');
+  return {key.substr(0, brace),
+          key.substr(brace + 1, key.size() - brace - 2)};
+}
+
 std::string MetricsRegistry::key_of(std::string_view name,
                                     std::string_view labels) {
   std::string key(name);
@@ -163,16 +204,6 @@ auto find_in(const Family& family, std::mutex& mu, const std::string& key)
   std::lock_guard lock(mu);
   auto it = family.find(key);
   return it == family.end() ? nullptr : it->second.get();
-}
-
-/// Splits a registry key back into (name, labels) for exporters.
-std::pair<std::string_view, std::string_view> split_key(
-    const std::string& key) {
-  const size_t brace = key.find('{');
-  std::string_view name = std::string_view(key).substr(0, brace);
-  std::string_view labels =
-      std::string_view(key).substr(brace + 1, key.size() - brace - 2);
-  return {name, labels};
 }
 
 }  // namespace
@@ -281,38 +312,16 @@ std::string MetricsRegistry::to_prometheus() const {
       flush_max();
       family_header(name, "summary");
     }
-    series(name, labels, "quantile=\"0.5\"", h->p50());
-    series(name, labels, "quantile=\"0.9\"", h->p90());
-    series(name, labels, "quantile=\"0.99\"", h->p99());
-    series(std::string(name) + "_sum", labels, "", h->sum());
-    series(std::string(name) + "_count", labels, "", h->count());
-    max_series.emplace_back(std::string(labels), h->max());
+    const Histogram::State s = h->state();
+    series(name, labels, "quantile=\"0.5\"", s.quantile(0.50));
+    series(name, labels, "quantile=\"0.9\"", s.quantile(0.90));
+    series(name, labels, "quantile=\"0.99\"", s.quantile(0.99));
+    series(std::string(name) + "_sum", labels, "", s.sum);
+    series(std::string(name) + "_count", labels, "", s.count);
+    max_series.emplace_back(std::string(labels), s.max);
   }
   flush_max();
   return out.str();
-}
-
-MetricsRegistry::Snapshot MetricsRegistry::snapshot() const {
-  std::lock_guard lock(mu_);
-  Snapshot snap;
-  snap.counters.reserve(counters_.size());
-  for (const auto& [key, c] : counters_) {
-    const auto [name, labels] = split_key(key);
-    snap.counters.push_back(
-        {std::string(name), std::string(labels), c->value()});
-  }
-  snap.gauges.reserve(gauges_.size());
-  for (const auto& [key, g] : gauges_) {
-    const auto [name, labels] = split_key(key);
-    snap.gauges.push_back({std::string(name), std::string(labels), g->value()});
-  }
-  snap.histograms.reserve(histograms_.size());
-  for (const auto& [key, h] : histograms_) {
-    const auto [name, labels] = split_key(key);
-    snap.histograms.push_back(
-        {std::string(name), std::string(labels), h->state()});
-  }
-  return snap;
 }
 
 void MetricsRegistry::freeze(Frozen& out) const {
@@ -327,8 +336,7 @@ void MetricsRegistry::freeze(Frozen& out) const {
     out.gauges.push_back({&key, g->value()});
   }
   for (const auto& [key, h] : histograms_) {
-    out.histograms.push_back(
-        {&key, h->count(), h->sum(), h->max(), h->p50(), h->p90(), h->p99()});
+    out.histograms.push_back({&key, h->state()});
   }
 }
 
@@ -357,9 +365,11 @@ std::string MetricsRegistry::Frozen::to_json() const {
   first = true;
   for (const HistogramValue& h : histograms) {
     head(first, *h.key);
-    out << ", \"count\": " << h.count << ", \"sum\": " << h.sum
-        << ", \"max\": " << h.max << ", \"p50\": " << h.p50
-        << ", \"p90\": " << h.p90 << ", \"p99\": " << h.p99 << "}";
+    const Histogram::State& s = h.state;
+    out << ", \"count\": " << s.count << ", \"sum\": " << s.sum
+        << ", \"max\": " << s.max << ", \"p50\": " << s.quantile(0.50)
+        << ", \"p90\": " << s.quantile(0.90)
+        << ", \"p99\": " << s.quantile(0.99) << "}";
   }
   out << "\n  ]\n}\n";
   return out.str();

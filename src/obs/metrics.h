@@ -13,8 +13,9 @@
 //     a predicted branch, nothing more.
 //   - Histograms bucket by log2 (bucket i holds values of bit-width i), so
 //     recording needs no search and 65 buckets cover the full uint64 range.
-//     Percentile accessors (p50/p90/p99) resolve to the bucket upper edge,
-//     clamped to the true observed max — conservative for latencies.
+//     Every reader works on a Histogram::State value, whose one quantile
+//     rule resolves p50/p90/p99 to the bucket upper edge, clamped to the
+//     max — conservative for latencies.
 //
 // Exporters: Prometheus-style text exposition and a JSON snapshot (parsed
 // back by obs::json_parse in tests and the dashboard's self-check).
@@ -94,10 +95,7 @@ class Histogram {
   }
   [[nodiscard]] double mean() const;
 
-  /// Value at quantile q in [0, 1]: the upper edge of the bucket where the
-  /// cumulative count crosses ceil(q * count), clamped to the observed max
-  /// (so percentiles never exceed a value that actually occurred). Returns
-  /// 0 for an empty histogram.
+  /// state().quantile(q): the live histogram's value at quantile q.
   [[nodiscard]] uint64_t percentile(double q) const;
   [[nodiscard]] uint64_t p50() const { return percentile(0.50); }
   [[nodiscard]] uint64_t p90() const { return percentile(0.90); }
@@ -118,14 +116,31 @@ class Histogram {
   /// Largest value bucket i can hold (2^i - 1; saturates at UINT64_MAX).
   [[nodiscard]] static uint64_t bucket_upper(size_t i);
 
-  /// Point-in-time copy of the full bucket state (relaxed loads). The
-  /// time-series collector deltas two of these to recover per-window
-  /// quantiles from a cumulative histogram.
+  /// A histogram as a value: the one form every reader works on
+  /// (exporters, flight bundles, time-series windows, SLOs), so the bucket
+  /// layout is known only here and in metrics.cc.
   struct State {
     uint64_t buckets[kBuckets] = {};
     uint64_t count = 0;
     uint64_t sum = 0;
+    /// Live capture (state()): the exact observed maximum. Window
+    /// (delta_since()): the tightest bound on the window's maximum that
+    /// the bucket deltas allow.
     uint64_t max = 0;
+
+    /// Value at quantile q in [0, 1]: the upper edge of the bucket where
+    /// the cumulative count crosses ceil(q * count), clamped to `max` (so
+    /// a quantile never exceeds a value that can have occurred). 0 when
+    /// empty.
+    [[nodiscard]] uint64_t quantile(double q) const;
+    /// The window `*this - base` of two captures of one cumulative
+    /// histogram: per-bucket saturating subtraction, `count` the sum of
+    /// the bucket deltas, `sum` saturating, and `max` the upper edge of
+    /// the highest nonempty delta bucket capped by this capture's (run)
+    /// maximum, since the cumulative max cannot be windowed.
+    [[nodiscard]] State delta_since(const State& base) const;
+    /// Adds `other`'s buckets, count and sum; `max` becomes the larger.
+    void merge(const State& other);
   };
   [[nodiscard]] State state() const;
 
@@ -135,6 +150,10 @@ class Histogram {
   std::atomic<uint64_t> sum_{0};
   std::atomic<uint64_t> max_{0};
 };
+
+/// Splits a registry key `name{labels}` into its name and label string.
+[[nodiscard]] std::pair<std::string_view, std::string_view> split_key(
+    std::string_view key);
 
 /// Formats a label set as `k1="v1",k2="v2"` — the canonical label-string
 /// form the registry keys on (and Prometheus exposition uses verbatim).
@@ -173,34 +192,12 @@ class MetricsRegistry {
   /// Prometheus exposition. Idempotent; last writer wins.
   void set_help(std::string_view name, std::string_view help);
 
-  /// Point-in-time copy of every registered series (one lock, relaxed
-  /// value loads). This is the time-series collector's input: stable
-  /// (name, labels) identity plus a value copy it can delta against the
-  /// previous sample.
-  struct Snapshot {
-    struct CounterEntry {
-      std::string name, labels;
-      uint64_t value = 0;
-    };
-    struct GaugeEntry {
-      std::string name, labels;
-      int64_t value = 0;
-    };
-    struct HistogramEntry {
-      std::string name, labels;
-      Histogram::State state;
-    };
-    std::vector<CounterEntry> counters;
-    std::vector<GaugeEntry> gauges;
-    std::vector<HistogramEntry> histograms;
-  };
-  [[nodiscard]] Snapshot snapshot() const;
-
   /// Values-only point-in-time copy of every series (one lock, relaxed
-  /// value loads): the cheap capture behind flight dumps, rendered later.
-  /// Entries point at the registry's never-erased map keys (`name{labels}`)
-  /// instead of copying them, so a Frozen is valid while the registry
-  /// lives. Histograms keep only the values the JSON export shows.
+  /// value loads): the capture behind flight dumps, JSON export and
+  /// TimeSeries windows. Entries point at the registry's never-erased map
+  /// keys (`name{labels}`, see split_key()) instead of copying them, so a
+  /// Frozen is valid while the registry lives; each family comes out in
+  /// key order.
   struct Frozen {
     struct CounterValue {
       const std::string* key = nullptr;
@@ -212,7 +209,7 @@ class MetricsRegistry {
     };
     struct HistogramValue {
       const std::string* key = nullptr;
-      uint64_t count = 0, sum = 0, max = 0, p50 = 0, p90 = 0, p99 = 0;
+      Histogram::State state;
     };
     std::vector<CounterValue> counters;
     std::vector<GaugeValue> gauges;

@@ -48,9 +48,7 @@ double SloEngine::observe(const SloSpec& spec, const WindowSample& w,
         h = w.find_histogram(spec.metric, spec.labels);
       }
       if (h != nullptr) {
-        value = static_cast<double>(
-            window_percentile(h->buckets, h->count, h->max_bound,
-                              spec.quantile));
+        value = static_cast<double>(h->state.quantile(spec.quantile));
       }
       d << spec.metric << " q" << spec.quantile << " = " << value;
       break;

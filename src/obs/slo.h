@@ -13,9 +13,11 @@
 // `slow_windows` horizon must BOTH exceed their burn thresholds (fraction
 // relative to the error `budget`). The fast window makes alerts prompt;
 // the slow window keeps a transient spike from paging. A breach is
-// recorded as an EventType::kSloBreach trace event and counted, so the
-// control plane (StageObservation::slo_breaches) and the flight recorder
-// can both act on it.
+// recorded as an EventType::kSloBreach trace event and counted; the
+// caller that ticks the engine reads the verdicts and acts on them
+// (bench_soak freezes a flight bundle per breach). Nothing in the control
+// plane consumes breaches: rollout verdicts come from the enforcement
+// run's own counters (rollout.h).
 #pragma once
 
 #include <cstdint>
@@ -82,8 +84,7 @@ class SloEngine {
   /// Single-threaded, same collector thread as TimeSeries::sample.
   std::vector<SloVerdict> evaluate(const WindowSample& w);
 
-  /// Total breaches across all evaluations (what ControlPlane::slo_feed
-  /// and the soak gate read).
+  /// Total breaches across all evaluations (what the soak gate reads).
   [[nodiscard]] uint64_t breaches() const { return breaches_; }
   /// Total violating windows (any SLO) across all evaluations.
   [[nodiscard]] uint64_t violating_windows() const {

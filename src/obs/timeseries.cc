@@ -1,31 +1,30 @@
 #include "obs/timeseries.h"
 
 #include <algorithm>
-#include <cmath>
 #include <sstream>
+#include <utility>
 
 #include "common/assert.h"
 #include "obs/json.h"
 
 namespace sedspec::obs {
 
-uint64_t window_percentile(const uint64_t (&buckets)[Histogram::kBuckets],
-                           uint64_t count, uint64_t max_bound, double q) {
-  if (count == 0) {
-    return 0;
-  }
-  q = std::min(std::max(q, 0.0), 1.0);
-  const uint64_t target =
-      std::max<uint64_t>(1, static_cast<uint64_t>(std::ceil(q * count)));
-  uint64_t cumulative = 0;
-  for (size_t i = 0; i < Histogram::kBuckets; ++i) {
-    cumulative += buckets[i];
-    if (cumulative >= target) {
-      return std::min(Histogram::bucket_upper(i), max_bound);
-    }
-  }
-  return max_bound;
+namespace {
+
+WindowHistogram window_histogram(std::string name, std::string labels,
+                                 const Histogram::State& state) {
+  WindowHistogram h;
+  h.name = std::move(name);
+  h.labels = std::move(labels);
+  h.state = state;
+  h.p50 = state.quantile(0.50);
+  h.p90 = state.quantile(0.90);
+  h.p99 = state.quantile(0.99);
+  h.p999 = state.quantile(0.999);
+  return h;
 }
+
+}  // namespace
 
 const WindowCounter* WindowSample::find_counter(std::string_view name,
                                                 std::string_view labels) const {
@@ -69,37 +68,20 @@ uint64_t WindowSample::counter_delta_sum(std::string_view name) const {
 
 std::optional<WindowHistogram> WindowSample::merged_histogram(
     std::string_view name) const {
-  std::optional<WindowHistogram> merged;
+  std::optional<Histogram::State> merged;
   for (const WindowHistogram& h : histograms) {
     if (h.name != name) {
       continue;
     }
     if (!merged) {
       merged.emplace();
-      merged->name = std::string(name);
     }
-    for (size_t i = 0; i < Histogram::kBuckets; ++i) {
-      merged->buckets[i] += h.buckets[i];
-    }
-    merged->count += h.count;
-    merged->sum += h.sum;
-    merged->max_bound = std::max(merged->max_bound, h.max_bound);
+    merged->merge(h.state);
   }
-  if (merged) {
-    merged->p50 =
-        window_percentile(merged->buckets, merged->count, merged->max_bound,
-                          0.50);
-    merged->p90 =
-        window_percentile(merged->buckets, merged->count, merged->max_bound,
-                          0.90);
-    merged->p99 =
-        window_percentile(merged->buckets, merged->count, merged->max_bound,
-                          0.99);
-    merged->p999 =
-        window_percentile(merged->buckets, merged->count, merged->max_bound,
-                          0.999);
+  if (!merged) {
+    return std::nullopt;
   }
-  return merged;
+  return window_histogram(std::string(name), "", *merged);
 }
 
 TimeSeries::TimeSeries(const MetricsRegistry* registry, TimeSeriesConfig cfg)
@@ -110,15 +92,17 @@ TimeSeries::TimeSeries(const MetricsRegistry* registry, TimeSeriesConfig cfg)
 
 namespace {
 
-/// Series that appear mid-run have no entry in the previous snapshot;
-/// their base value is zero (the registry zero-initializes on creation,
-/// so delta-vs-zero is exact, not an approximation).
+/// Both captures list each family in registry-key order and the registry
+/// never erases a series, so the previous capture's entries are a
+/// subsequence of the current one's with the same key pointers: one
+/// ordered walk (cursor `j` into `prev`) pairs them. A series that
+/// appeared mid-run has no previous entry; its base is zero (the registry
+/// zero-initializes on creation, so delta-vs-zero is exact).
 template <typename Entry>
-const Entry* find_prev(const std::vector<Entry>& prev, const Entry& cur) {
-  for (const Entry& p : prev) {
-    if (p.name == cur.name && p.labels == cur.labels) {
-      return &p;
-    }
+const Entry* previous(const std::vector<Entry>& prev, size_t& j,
+                      const Entry& cur) {
+  if (j < prev.size() && prev[j].key == cur.key) {
+    return &prev[j++];
   }
   return nullptr;
 }
@@ -126,7 +110,7 @@ const Entry* find_prev(const std::vector<Entry>& prev, const Entry& cur) {
 }  // namespace
 
 const WindowSample& TimeSeries::sample(uint64_t now_ns) {
-  MetricsRegistry::Snapshot cur = registry_->snapshot();
+  registry_->freeze(cur_);
   WindowSample w;
   w.index = next_index_++;
   w.t_start_ns = have_base_ ? base_ns_ : now_ns;
@@ -134,57 +118,45 @@ const WindowSample& TimeSeries::sample(uint64_t now_ns) {
   const double seconds =
       static_cast<double>(w.t_end_ns - w.t_start_ns) / 1e9;
 
-  w.counters.reserve(cur.counters.size());
-  for (const auto& c : cur.counters) {
-    const auto* prev = find_prev(base_.counters, c);
+  w.counters.reserve(cur_.counters.size());
+  size_t j = 0;
+  for (const auto& c : cur_.counters) {
+    const auto* prev = previous(base_.counters, j, c);
+    const auto [name, labels] = split_key(*c.key);
     WindowCounter wc;
-    wc.name = c.name;
-    wc.labels = c.labels;
+    wc.name = name;
+    wc.labels = labels;
     const uint64_t base = prev != nullptr ? prev->value : 0;
     wc.delta = c.value >= base ? c.value - base : 0;
     wc.rate = seconds > 0.0 ? static_cast<double>(wc.delta) / seconds : 0.0;
     w.counters.push_back(std::move(wc));
   }
 
-  w.gauges.reserve(cur.gauges.size());
-  for (const auto& g : cur.gauges) {
-    const auto* prev = find_prev(base_.gauges, g);
+  w.gauges.reserve(cur_.gauges.size());
+  j = 0;
+  for (const auto& g : cur_.gauges) {
+    const auto* prev = previous(base_.gauges, j, g);
+    const auto [name, labels] = split_key(*g.key);
     WindowGauge wg;
-    wg.name = g.name;
-    wg.labels = g.labels;
+    wg.name = name;
+    wg.labels = labels;
     wg.value = g.value;
     wg.delta = g.value - (prev != nullptr ? prev->value : 0);
     w.gauges.push_back(std::move(wg));
   }
 
-  w.histograms.reserve(cur.histograms.size());
-  for (const auto& h : cur.histograms) {
-    const auto* prev = find_prev(base_.histograms, h);
-    WindowHistogram wh;
-    wh.name = h.name;
-    wh.labels = h.labels;
-    for (size_t i = 0; i < Histogram::kBuckets; ++i) {
-      const uint64_t base = prev != nullptr ? prev->state.buckets[i] : 0;
-      const uint64_t cur_b = h.state.buckets[i];
-      wh.buckets[i] = cur_b >= base ? cur_b - base : 0;
-      if (wh.buckets[i] != 0) {
-        wh.max_bound = Histogram::bucket_upper(i);
-      }
-      wh.count += wh.buckets[i];
-    }
-    const uint64_t base_sum = prev != nullptr ? prev->state.sum : 0;
-    wh.sum = h.state.sum >= base_sum ? h.state.sum - base_sum : 0;
-    // The cumulative max is whole-run; only cap the window bound with it
-    // (a window can never have seen a value above the run max).
-    wh.max_bound = std::min(wh.max_bound, h.state.max);
-    wh.p50 = window_percentile(wh.buckets, wh.count, wh.max_bound, 0.50);
-    wh.p90 = window_percentile(wh.buckets, wh.count, wh.max_bound, 0.90);
-    wh.p99 = window_percentile(wh.buckets, wh.count, wh.max_bound, 0.99);
-    wh.p999 = window_percentile(wh.buckets, wh.count, wh.max_bound, 0.999);
-    w.histograms.push_back(std::move(wh));
+  w.histograms.reserve(cur_.histograms.size());
+  j = 0;
+  for (const auto& h : cur_.histograms) {
+    const auto* prev = previous(base_.histograms, j, h);
+    const auto [name, labels] = split_key(*h.key);
+    w.histograms.push_back(window_histogram(
+        std::string(name), std::string(labels),
+        h.state.delta_since(prev != nullptr ? prev->state
+                                            : Histogram::State{})));
   }
 
-  base_ = std::move(cur);
+  std::swap(base_, cur_);
   base_ns_ = now_ns;
   have_base_ = true;
 
@@ -245,7 +217,7 @@ void TimeSeries::fold_aggregates(const WindowSample& w) {
     fold_one(aggregates_, series_key(h.name, h.labels, "p999"),
              static_cast<double>(h.p999));
     fold_one(aggregates_, series_key(h.name, h.labels, "count"),
-             static_cast<double>(h.count));
+             static_cast<double>(h.state.count));
   }
 }
 
@@ -283,7 +255,8 @@ std::string TimeSeries::to_json() const {
     for (const WindowHistogram& h : w.histograms) {
       out << (first ? "" : ", ") << "{\"name\": \"" << json_escape(h.name)
           << "\", \"labels\": \"" << json_escape(h.labels)
-          << "\", \"count\": " << h.count << ", \"sum\": " << h.sum
+          << "\", \"count\": " << h.state.count
+          << ", \"sum\": " << h.state.sum
           << ", \"p50\": " << h.p50 << ", \"p90\": " << h.p90
           << ", \"p99\": " << h.p99 << ", \"p999\": " << h.p999 << "}";
       first = false;

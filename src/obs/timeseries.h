@@ -7,14 +7,12 @@
 // sample(now_ns) at whatever cadence it likes (the collector never reads a
 // clock itself — intervals are caller-driven, so tests and the soak
 // harness replay deterministic timelines), and each tick deltas the
-// current registry snapshot against the previous one into a WindowSample:
+// current registry freeze() against the previous one into a WindowSample:
 //   - counters  -> per-window delta + rate (delta / window seconds)
 //   - gauges    -> point-in-time value + delta vs previous window
-//   - histograms-> per-window bucket deltas, from which true windowed
-//                  p50/p90/p99/p99.9 are resolved (same log2 upper-edge
-//                  rule as Histogram::percentile, clamped to the highest
-//                  nonempty delta bucket's upper edge since the cumulative
-//                  max can't be windowed)
+//   - histograms-> the window's own Histogram::State (delta_since), from
+//                  which true windowed p50/p90/p99/p99.9 are resolved by
+//                  the one Histogram::State quantile rule
 //
 // Memory is bounded for arbitrarily long runs: a ring of the most recent
 // `window_capacity` WindowSamples plus streaming min/max/sum aggregates
@@ -43,12 +41,9 @@ struct TimeSeriesConfig {
 struct WindowHistogram {
   std::string name;
   std::string labels;
-  uint64_t buckets[Histogram::kBuckets] = {};  // per-window bucket deltas
-  uint64_t count = 0;                          // events in this window
-  uint64_t sum = 0;
-  /// Upper edge of the highest nonempty delta bucket — the tightest bound
-  /// on the window max recoverable from bucket deltas.
-  uint64_t max_bound = 0;
+  /// The window's bucket deltas, event count and sum; `state.max` is the
+  /// tightest bound on the window max the deltas allow.
+  Histogram::State state;
   uint64_t p50 = 0;
   uint64_t p90 = 0;
   uint64_t p99 = 0;
@@ -87,9 +82,9 @@ struct WindowSample {
   /// Sums every counter series named `name` (any labels) — the fleet-wide
   /// delta for per-shard-labeled counters.
   [[nodiscard]] uint64_t counter_delta_sum(std::string_view name) const;
-  /// Merges the bucket deltas of every histogram series named `name` into
-  /// one WindowHistogram with recomputed quantiles. Returns nullopt when no
-  /// series of that name recorded in this window's snapshot.
+  /// Merges (Histogram::State::merge) every histogram series named `name`
+  /// into one WindowHistogram with recomputed quantiles. Returns nullopt
+  /// when no series of that name was in this window's capture.
   [[nodiscard]] std::optional<WindowHistogram> merged_histogram(
       std::string_view name) const;
 };
@@ -111,8 +106,8 @@ class TimeSeries {
   explicit TimeSeries(const MetricsRegistry* registry,
                       TimeSeriesConfig cfg = {});
 
-  /// Takes a registry snapshot at caller-supplied time `now_ns`, deltas it
-  /// against the previous snapshot, appends the WindowSample to the ring
+  /// Freezes the registry at caller-supplied time `now_ns`, deltas it
+  /// against the previous capture, appends the WindowSample to the ring
   /// (evicting the oldest beyond capacity), and folds per-window values
   /// into the whole-run aggregates. Returns the freshly closed window.
   /// Single-threaded by design: one collector thread ticks; shard threads
@@ -148,16 +143,13 @@ class TimeSeries {
   TimeSeriesConfig cfg_;
   bool have_base_ = false;
   uint64_t base_ns_ = 0;
-  MetricsRegistry::Snapshot base_;
+  // The previous capture and the buffer for the current one, swapped
+  // after every sample so refreezing reuses their storage.
+  MetricsRegistry::Frozen base_;
+  MetricsRegistry::Frozen cur_;
   uint64_t next_index_ = 0;
   std::deque<WindowSample> ring_;
   std::map<std::string, SeriesAggregate> aggregates_;
 };
-
-/// Quantiles from a per-window bucket-delta array: same cumulative-count
-/// crossing rule as Histogram::percentile, clamped to `max_bound`.
-[[nodiscard]] uint64_t window_percentile(
-    const uint64_t (&buckets)[Histogram::kBuckets], uint64_t count,
-    uint64_t max_bound, double q);
 
 }  // namespace sedspec::obs

@@ -96,12 +96,8 @@ class IoBus {
   /// non-atomic device/checker internals race-free. bind_owner_thread()
   /// records the calling thread; from then on read()/write() from any other
   /// thread increments owner_violations() (relaxed counter — never throws
-  /// on the hot path, tests assert it stays zero). clear_owner_thread()
-  /// lifts the binding (e.g. before handing the bus to a new shard).
+  /// on the hot path, tests assert it stays zero).
   void bind_owner_thread();
-  void clear_owner_thread() {
-    owner_token_.store(0, std::memory_order_relaxed);
-  }
   [[nodiscard]] uint64_t owner_violations() const {
     return owner_violations_.load(std::memory_order_relaxed);
   }

@@ -92,9 +92,6 @@ class DmaEngine {
         std::hash<std::thread::id>{}(std::this_thread::get_id()) | 1,
         std::memory_order_relaxed);
   }
-  void clear_owner_thread() {
-    owner_token_.store(0, std::memory_order_relaxed);
-  }
   [[nodiscard]] uint64_t owner_violations() const {
     return owner_violations_.load(std::memory_order_relaxed);
   }

@@ -704,8 +704,22 @@ ExprRef rnd_expr(Rng& rng, const StateLayout& layout, int depth) {
   }
 }
 
+// Base of the far address/target range a `wide` spec draws from half the
+// time: far enough from the near range (below 32 for entries, below 64
+// for indirect targets) that an entry group spanning both compiles to the
+// sparse sorted form (span >= 4096) and an edge set spanning both to the
+// sorted form (span >= 2^16), which no shipped spec reaches. The far
+// target still fits the 32-bit fields an indirect block jumps through.
+constexpr uint64_t kFarAddr = 0x100000;
+constexpr uint64_t kFarTarget = uint64_t{1} << 20;
+
+uint64_t rnd_entry_addr(Rng& rng, bool wide) {
+  const uint64_t near = rng.below(8) * 4;
+  return wide && rng.below(2) == 0 ? kFarAddr + near : near;
+}
+
 spec::EsCfg rnd_cfg(Rng& rng, const StateLayout& layout,
-                    const std::string& device_name) {
+                    const std::string& device_name, bool wide) {
   spec::EsCfg cfg;
   cfg.device_name = device_name;
   cfg.trained_rounds = 1 + rng.below(4);
@@ -713,9 +727,13 @@ spec::EsCfg rnd_cfg(Rng& rng, const StateLayout& layout,
     cfg.params.push_back(static_cast<ParamId>(i));
   }
   std::vector<ParamId> buffers;
+  std::vector<ParamId> wide_scalars;  // can hold a far target
   for (size_t i = 0; i < layout.field_count(); ++i) {
-    if (layout.field(static_cast<ParamId>(i)).is_buffer()) {
+    const auto& f = layout.field(static_cast<ParamId>(i));
+    if (f.is_buffer()) {
       buffers.push_back(static_cast<ParamId>(i));
+    } else if (f.size >= 4) {
+      wide_scalars.push_back(static_cast<ParamId>(i));
     }
   }
   const auto nblocks = static_cast<SiteId>(1 + rng.below(6));
@@ -794,9 +812,18 @@ spec::EsCfg rnd_cfg(Rng& rng, const StateLayout& layout,
       case 2: {
         b.kind = BlockKind::kIndirect;
         b.fp_param = static_cast<ParamId>(rng.below(layout.field_count()));
+        if (wide && !wide_scalars.empty()) {
+          // Jump through the access value, so the stream's far values
+          // hit the sorted edge set as well as miss it.
+          b.fp_param = wide_scalars[rng.below(wide_scalars.size())];
+          b.dsod.push_back(
+              assign(b.fp_param, io(IoField::kValue, IntType::kU64)));
+        }
         const size_t ntargets = rng.below(4);
         for (size_t i = 0; i < ntargets; ++i) {
-          b.fp_targets.insert(rng.next_u64() % 64);
+          const uint64_t target = rng.next_u64() % 64;
+          b.fp_targets.insert(wide && rng.below(2) == 0 ? kFarTarget + target
+                                                        : target);
         }
         b.has_succ = rng.below(2) == 0;
         b.succ = rnd_site();
@@ -816,7 +843,7 @@ spec::EsCfg rnd_cfg(Rng& rng, const StateLayout& layout,
   for (size_t i = 0; i < nentries; ++i) {
     IoKey key;
     key.space = rng.below(2) == 0 ? IoSpace::kPio : IoSpace::kMmio;
-    key.addr = rng.below(8) * 4;
+    key.addr = rnd_entry_addr(rng, wide);
     key.is_write = rng.below(2) == 0;
     cfg.entry_dispatch[key] = rnd_site();
   }
@@ -833,8 +860,13 @@ TEST(CheckEngineFuzz, RandomSpecsStayInLockstep) {
   Rng rng(0x5edc0de);
   int built = 0;
   int rejected = 0;
-  for (int iter = 0; iter < 60; ++iter) {
-    const spec::EsCfg es = rnd_cfg(rng, layout, device.name());
+  int sparse_groups = 0;
+  int sorted_sets = 0;
+  // The last 100 iterations draw wide specs and streams, so the sparse
+  // entry dispatch and sorted edge sets run too.
+  for (int iter = 0; iter < 160; ++iter) {
+    const bool wide = iter >= 60;
+    const spec::EsCfg es = rnd_cfg(rng, layout, device.name(), wide);
     CheckerConfig icfg;
     icfg.engine = EngineKind::kInterpreter;
     CheckerConfig bcfg;
@@ -864,13 +896,25 @@ TEST(CheckEngineFuzz, RandomSpecsStayInLockstep) {
       continue;
     }
     ++built;
+    const checker::engine::BytecodeProgram& prog =
+        dynamic_cast<const BytecodeEngine&>(*be).program();
+    for (const checker::engine::EntryGroup& g : prog.entry) {
+      sparse_groups += !g.dense && !g.addrs.empty() ? 1 : 0;
+    }
+    for (const checker::engine::EdgeSet& e : prog.edges) {
+      sorted_sets += e.kind == checker::engine::EdgeSet::kSorted ? 1 : 0;
+    }
     std::vector<IoAccess> stream;
     for (int i = 0; i < 120; ++i) {
       IoAccess io;
       io.space = rng.below(2) == 0 ? IoSpace::kPio : IoSpace::kMmio;
-      io.addr = rng.below(8) * 4;
+      io.addr = rnd_entry_addr(rng, wide);
       io.size = static_cast<uint8_t>(1u << rng.below(4));
       io.value = rng.next_u64() >> (8 * rng.below(8));
+      // A value in either trained target range, for the indirect jumps.
+      if (wide && rng.below(2) == 0) {
+        io.value = (rng.below(2) == 0 ? kFarTarget : 0) + rng.below(64);
+      }
       io.is_write = rng.below(2) == 0;
       stream.push_back(io);
     }
@@ -886,6 +930,8 @@ TEST(CheckEngineFuzz, RandomSpecsStayInLockstep) {
   // it claims.
   EXPECT_GT(built, 5);
   EXPECT_GT(rejected, 5);
+  EXPECT_GT(sparse_groups, 0);
+  EXPECT_GT(sorted_sets, 0);
 }
 
 // Every kind of dangling transition target, one minimal spec each. Both

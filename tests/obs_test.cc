@@ -366,7 +366,8 @@ void drive_every_path(IoBus& bus, FdcDevice& fdc, VetoProxy& proxy,
 }
 
 size_t series_count(const obs::MetricsRegistry& reg) {
-  const obs::MetricsRegistry::Snapshot s = reg.snapshot();
+  obs::MetricsRegistry::Frozen s;
+  reg.freeze(s);
   return s.counters.size() + s.gauges.size() + s.histograms.size();
 }
 
@@ -401,9 +402,11 @@ TEST(ObsBus, AccessAndDmaPathsTouchNoGlobalRegistryOrTracer) {
   EXPECT_EQ(bus_b.access_count(), kPathAccesses);
   // ...and nothing on the way registered a series or recorded an event.
   EXPECT_EQ(series_count(obs::metrics()), series_before);
-  for (const auto& c : obs::metrics().snapshot().counters) {
-    EXPECT_FALSE(c.name.starts_with("bus_") || c.name.starts_with("dma_"))
-        << c.name;
+  obs::MetricsRegistry::Frozen frozen;
+  obs::metrics().freeze(frozen);
+  for (const auto& c : frozen.counters) {
+    EXPECT_FALSE(c.key->starts_with("bus_") || c.key->starts_with("dma_"))
+        << *c.key;
   }
   EXPECT_EQ(tracer.recorded(), 0u);
 }

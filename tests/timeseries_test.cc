@@ -93,7 +93,7 @@ TEST(ObsTimeSeries, WindowedHistogramQuantilesIgnoreOldWindows) {
   const obs::WindowSample& w0 = ts.sample(100 * kMs);
   const obs::WindowHistogram* h0 = w0.find_histogram("check_latency_ns", "");
   ASSERT_NE(h0, nullptr);
-  EXPECT_EQ(h0->count, 100u);
+  EXPECT_EQ(h0->state.count, 100u);
   EXPECT_GE(h0->p99, 60'000u);
 
   // Window 1: fast regime. The cumulative histogram still holds the slow
@@ -104,7 +104,7 @@ TEST(ObsTimeSeries, WindowedHistogramQuantilesIgnoreOldWindows) {
   const obs::WindowSample& w1 = ts.sample(200 * kMs);
   const obs::WindowHistogram* h1 = w1.find_histogram("check_latency_ns", "");
   ASSERT_NE(h1, nullptr);
-  EXPECT_EQ(h1->count, 100u);
+  EXPECT_EQ(h1->state.count, 100u);
   EXPECT_LT(h1->p99, 1000u);
   // Cumulative p99 over the same registry would still see the slow regime.
   EXPECT_GE(lat.p99(), 60'000u);
@@ -145,7 +145,7 @@ TEST(ObsTimeSeries, MergedHistogramSpansShardLabels) {
 
   std::optional<obs::WindowHistogram> merged = w.merged_histogram("lat");
   ASSERT_TRUE(merged.has_value());
-  EXPECT_EQ(merged->count, 2u);
+  EXPECT_EQ(merged->state.count, 2u);
   EXPECT_GE(merged->p99, 1'000'000u);  // tail from shard 1 visible
   EXPECT_FALSE(w.merged_histogram("no_such_metric").has_value());
 }
@@ -778,7 +778,7 @@ TEST(ObsHistogramEdge, MergeOfEmptyWindowYieldsZeroQuantiles) {
   const obs::WindowSample& w = ts.sample(kMs);
   std::optional<obs::WindowHistogram> merged = w.merged_histogram("lat");
   ASSERT_TRUE(merged.has_value());  // series exist, just empty
-  EXPECT_EQ(merged->count, 0u);
+  EXPECT_EQ(merged->state.count, 0u);
   EXPECT_EQ(merged->p50, 0u);
   EXPECT_EQ(merged->p999, 0u);
 }
@@ -828,12 +828,89 @@ TEST(ObsHistogramEdge, TopBucketOverflowSaturatesNotWraps) {
   const obs::WindowHistogram* wh =
       ts.sample(kMs).find_histogram("lat", "");
   ASSERT_NE(wh, nullptr);
-  EXPECT_EQ(wh->count, 1u);
-  EXPECT_EQ(wh->max_bound, ~uint64_t{0});
+  EXPECT_EQ(wh->state.count, 1u);
+  EXPECT_EQ(wh->state.max, ~uint64_t{0});
   EXPECT_EQ(wh->p999, ~uint64_t{0});
-  // window_percentile with an empty delta array stays at zero.
-  uint64_t empty[obs::Histogram::kBuckets] = {};
-  EXPECT_EQ(obs::window_percentile(empty, 0, 0, 0.999), 0u);
+  // The quantile of an empty state stays at zero.
+  EXPECT_EQ(obs::Histogram::State{}.quantile(0.999), 0u);
+}
+
+// One quantile rule behind every reader: the live histogram, the frozen
+// JSON export and a TimeSeries window holding exactly the same values
+// must report the same p50/p90/p99.
+TEST(ObsHistogramEdge, LiveFrozenAndWindowQuantilesAgree) {
+  obs::MetricsRegistry reg;
+  obs::Histogram& h = reg.histogram("lat", obs::label({{"device", "fdc"}}));
+  obs::TimeSeries ts(&reg);
+  ts.sample(0);  // priming window: the next one holds every value below
+  for (int i = 0; i < 10; ++i) {
+    h.record(100);  // bucket upper edge 127
+  }
+  for (int i = 0; i < 8; ++i) {
+    h.record(5000);  // upper edge 8191
+  }
+  h.record(40'000);
+  h.record(300'000);  // upper edge 524287, clamped to the max
+  const obs::WindowHistogram* wh =
+      ts.sample(kMs).find_histogram("lat", "device=\"fdc\"");
+  ASSERT_NE(wh, nullptr);
+
+  obs::MetricsRegistry::Frozen frozen;
+  reg.freeze(frozen);
+  const obs::JsonValue doc = obs::json_parse(frozen.to_json());
+  const obs::JsonValue& fh = doc.find("histograms")->array.at(0);
+
+  const uint64_t live[] = {h.p50(), h.p90(), h.p99()};
+  const uint64_t window[] = {wh->p50, wh->p90, wh->p99};
+  const char* const fields[] = {"p50", "p90", "p99"};
+  const uint64_t expected[] = {127, 8191, 300'000};
+  for (size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(live[i], expected[i]) << fields[i];
+    EXPECT_EQ(window[i], expected[i]) << fields[i];
+    EXPECT_EQ(fh.find(fields[i])->number, static_cast<double>(expected[i]))
+        << fields[i];
+  }
+  EXPECT_EQ(wh->state.count, h.count());
+  EXPECT_EQ(wh->state.sum, h.sum());
+  EXPECT_EQ(wh->state.max, h.max());
+}
+
+// TimeSeries pairs each series with its previous capture in one ordered
+// walk; series registered between two samples, sorting before, between
+// and after the old ones, must delta against zero without shifting the
+// pairing of the old ones.
+TEST(ObsTimeSeries, SeriesRegisteredMidRunDeltaAgainstZero) {
+  obs::MetricsRegistry reg;
+  reg.counter("b_total").inc(5);
+  reg.counter("d_total").inc(7);
+  reg.histogram("lat_b").record(10);
+  obs::TimeSeries ts(&reg);
+  ts.sample(0);
+
+  reg.counter("a_total").inc(1);
+  reg.counter("b_total").inc(2);
+  reg.counter("c_total").inc(3);
+  reg.counter("d_total").inc(4);
+  reg.counter("e_total").inc(5);
+  reg.histogram("lat_a").record(1000);
+  reg.histogram("lat_b").record(20);
+  const obs::WindowSample& w = ts.sample(kMs);
+  const uint64_t want[] = {1, 2, 3, 4, 5};
+  const char* const names[] = {"a_total", "b_total", "c_total", "d_total",
+                               "e_total"};
+  for (size_t i = 0; i < 5; ++i) {
+    const obs::WindowCounter* c = w.find_counter(names[i], "");
+    ASSERT_NE(c, nullptr) << names[i];
+    EXPECT_EQ(c->delta, want[i]) << names[i];
+  }
+  const obs::WindowHistogram* a = w.find_histogram("lat_a", "");
+  const obs::WindowHistogram* b = w.find_histogram("lat_b", "");
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(b, nullptr);
+  EXPECT_EQ(a->state.count, 1u);
+  EXPECT_EQ(a->state.sum, 1000u);
+  EXPECT_EQ(b->state.count, 1u);
+  EXPECT_EQ(b->state.sum, 20u);
 }
 
 }  // namespace
