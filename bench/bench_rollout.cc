@@ -66,7 +66,7 @@ SteadySample steady_state(spec::SpecStore& store) {
     s.mean_check_ns = static_cast<double>(report.fleet.check_ns) /
                       static_cast<double>(report.fleet.rounds);
   }
-  obs::Histogram merged;
+  obs::Histogram::State merged;
   for (const auto& shard : fleet) {
     const obs::Histogram* h = obs::metrics().find_histogram(
         "checker_check_latency_ns",
@@ -74,10 +74,10 @@ SteadySample steady_state(spec::SpecStore& store) {
                     {"strategies",
                      checker::strategy_set_name(shard.checker)}}));
     if (h != nullptr) {
-      merged.merge(*h);
+      merged.merge(h->state());
     }
   }
-  s.p99_ns = merged.p99();
+  s.p99_ns = merged.quantile(0.99);
   return s;
 }
 

@@ -293,7 +293,9 @@ struct CheckerHooks {
   /// checked round records a kIoAccess event (a = address, b = traversal
   /// steps) and violation/quarantine/self-heal events into it, giving
   /// incident bundles the last-K-rounds context. The event keys are
-  /// interned at attach, so a round's record takes no lock. A round event
+  /// interned at attach, so a round's record takes no lock. The ring's
+  /// keyed record is single-writer: no other thread may record into it
+  /// while this checker is attached. A round event
   /// carries the latency probe's start time while obs::timing_enabled()
   /// is on and ts_ns = 0 (untimed, ordered by ring position) while it is
   /// off, so an untimed round reads no clock; violation, quarantine and

@@ -84,8 +84,8 @@ StageObservation ControlPlane::observe_window(
     const std::string& window_tag) const {
   (void)window_tag;
   StageObservation o;
-  obs::Histogram active_lat;
-  obs::Histogram cand_lat;
+  obs::Histogram::State active_lat;
+  obs::Histogram::State cand_lat;
   for (size_t i = 0; i < report.shards.size(); ++i) {
     const enforce::ShardResult& s = report.shards[i];
     // Failure-domain feed is fleet-wide: a crash or quarantine spike
@@ -128,15 +128,15 @@ StageObservation ControlPlane::observe_window(
         obs::label({{"device", fleet[i].checker.metrics_label + "~cand"},
                     {"strategies", strategies}}));
     if (ah != nullptr) {
-      active_lat.merge(*ah);
+      active_lat.merge(ah->state());
     }
     if (ch != nullptr) {
-      cand_lat.merge(*ch);
+      cand_lat.merge(ch->state());
     }
   }
   o.report_drops = report.reports_dropped;
-  o.active_latency_p99_ns = active_lat.p99();
-  o.candidate_latency_p99_ns = cand_lat.p99();
+  o.active_latency_p99_ns = active_lat.quantile(0.99);
+  o.candidate_latency_p99_ns = cand_lat.quantile(0.99);
   return o;
 }
 

@@ -1,9 +1,11 @@
 // Flight recorder: always-on per-shard event rings frozen into
 // self-contained incident bundles.
 //
-// Every shard owns a small fixed-cost EventTracer ring (the same lock-free
-// slot machinery the global tracer uses) that the checker records into on
-// every round — a rolling "last K things this shard did". When something
+// Every shard owns a small fixed-cost EventTracer ring (the same slot
+// machinery the global tracer uses) that the checker records into on
+// every round — a rolling "last K things this shard did". The ring has
+// one writer, the shard's checker (EventTracer's keyed record is
+// single-writer), so shards never share a ring. When something
 // goes wrong (violation, quarantine, watchdog trip, SLO breach), dump()
 // freezes that shard's ring into a FlightBundle: the resolved events, the
 // registry metrics at freeze time, and a caller-supplied context blob
@@ -15,18 +17,21 @@
 // global trace.
 //
 // Cost model: a checker resolves its ring's EventKeys once when it attaches,
-// so recording a round is one keyed EventTracer::record — a relaxed
-// fetch_add and a slot write, with no intern lock, no hash lookup, no
-// allocation and no clock read. Round events follow the timing gate: with
+// so recording a round is one keyed EventTracer::record — a relaxed head
+// load, five relaxed word stores and a relaxed head store (about 4 ns),
+// with no lock, no atomic read-modify-write, no hash lookup, no allocation
+// and no clock read. Round events follow the timing gate: with
 // obs::timing_enabled() on they carry the checker's latency-probe start
 // time, with it off ts_ns = 0 ("untimed", ordered by ring position).
 // Violation, quarantine, self-heal and every other event stay timed.
 // dump() runs wherever reports are drained (the service's
 // consumer thread, or the guest thread of a single-VM harness), often on
 // a warning round a guest keeps running through, so it freezes raw values
-// only: it copies the ring's TraceEvent slots and a values-only
+// only: it copies the ring's five-word slots and a values-only
 // MetricsRegistry::freeze() into one of max_bundles reusable slots
-// (used as a ring, oldest overwritten). A warm dump allocates nothing
+// (used as a ring, oldest overwritten). Copying a full 256-event ring
+// takes about 0.6 µs, and a whole dump about 1–2 µs on a registry of ~100
+// series (single-thread probe, 4-vCPU x86 VM). A warm dump allocates nothing
 // unless a context provider is set or metric series were registered since
 // the slot was last used. Frozen metrics point at the registry's map keys,
 // which is sound because the registry never erases a series; frozen
@@ -104,6 +109,7 @@ class FlightRecorder {
   [[nodiscard]] size_t shards() const { return rings_.size(); }
   /// The ring shard `i`'s checker should record into (attach as
   /// CheckerHooks::local_tracer). Stable for the recorder's lifetime.
+  /// Single-writer: only shard `i`'s thread may record into it.
   [[nodiscard]] EventTracer& shard_ring(size_t i) { return *rings_[i]; }
 
   /// Provides the "current window" context embedded in bundles. Called

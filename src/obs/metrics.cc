@@ -102,22 +102,6 @@ void Histogram::State::merge(const State& other) {
   max = std::max(max, other.max);
 }
 
-void Histogram::merge(const Histogram& other) {
-  for (size_t i = 0; i < kBuckets; ++i) {
-    const uint64_t n = other.buckets_[i].load(std::memory_order_relaxed);
-    if (n != 0) {
-      buckets_[i].fetch_add(n, std::memory_order_relaxed);
-    }
-  }
-  count_.fetch_add(other.count(), std::memory_order_relaxed);
-  sum_.fetch_add(other.sum(), std::memory_order_relaxed);
-  const uint64_t v = other.max();
-  uint64_t prev = max_.load(std::memory_order_relaxed);
-  while (prev < v &&
-         !max_.compare_exchange_weak(prev, v, std::memory_order_relaxed)) {
-  }
-}
-
 double Histogram::mean() const {
   const uint64_t n = count();
   return n == 0 ? 0.0 : static_cast<double>(sum()) / static_cast<double>(n);

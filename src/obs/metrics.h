@@ -106,12 +106,6 @@ class Histogram {
     return buckets_[i].load(std::memory_order_relaxed);
   }
 
-  /// Sums `other`'s buckets/count/sum into this histogram and raises max.
-  /// Used to merge per-shard histograms on demand (fleet aggregation);
-  /// concurrent record() on either side is race-free but the merged view
-  /// is then only approximately a point-in-time snapshot.
-  void merge(const Histogram& other);
-
   [[nodiscard]] static size_t bucket_of(uint64_t v);
   /// Largest value bucket i can hold (2^i - 1; saturates at UINT64_MAX).
   [[nodiscard]] static uint64_t bucket_upper(size_t i);

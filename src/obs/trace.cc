@@ -36,30 +36,6 @@ const char* event_type_name(EventType t) {
   return "?";
 }
 
-void EventTracer::AtomicSlot::store(const TraceEvent& ev) {
-  ts_ns.store(ev.ts_ns, std::memory_order_relaxed);
-  dur_ns.store(ev.dur_ns, std::memory_order_relaxed);
-  a.store(ev.a, std::memory_order_relaxed);
-  b.store(ev.b, std::memory_order_relaxed);
-  name.store(ev.name, std::memory_order_relaxed);
-  cat.store(ev.cat, std::memory_order_relaxed);
-  detail.store(ev.detail, std::memory_order_relaxed);
-  type.store(static_cast<uint8_t>(ev.type), std::memory_order_relaxed);
-}
-
-TraceEvent EventTracer::AtomicSlot::load() const {
-  TraceEvent ev;
-  ev.ts_ns = ts_ns.load(std::memory_order_relaxed);
-  ev.dur_ns = dur_ns.load(std::memory_order_relaxed);
-  ev.a = a.load(std::memory_order_relaxed);
-  ev.b = b.load(std::memory_order_relaxed);
-  ev.name = name.load(std::memory_order_relaxed);
-  ev.cat = cat.load(std::memory_order_relaxed);
-  ev.detail = detail.load(std::memory_order_relaxed);
-  ev.type = static_cast<EventType>(type.load(std::memory_order_relaxed));
-  return ev;
-}
-
 EventTracer::EventTracer(size_t capacity) {
   SEDSPEC_REQUIRE(capacity > 0);
   capacity_ = std::bit_ceil(capacity);
@@ -109,6 +85,11 @@ size_t EventTracer::interned() const {
 EventKey EventTracer::key(std::string_view name, std::string_view cat,
                           std::string_view detail) {
   std::lock_guard lock(intern_mu_);
+  return key_locked(name, cat, detail);
+}
+
+EventKey EventTracer::key_locked(std::string_view name, std::string_view cat,
+                                 std::string_view detail) {
   EventKey k;
   k.name = intern_locked(name);
   k.cat = intern_locked(cat);
@@ -118,23 +99,30 @@ EventKey EventTracer::key(std::string_view name, std::string_view cat,
 
 void EventTracer::record(EventType type, EventKey k, uint64_t ts_ns,
                          uint64_t a, uint64_t b, uint64_t dur_ns) {
-  TraceEvent ev;
-  ev.ts_ns = ts_ns;
-  ev.dur_ns = dur_ns;
-  ev.a = a;
-  ev.b = b;
-  ev.name = k.name;
-  ev.cat = k.cat;
-  ev.detail = k.detail;
-  ev.type = type;
-  const uint64_t slot = head_.fetch_add(1, std::memory_order_relaxed);
-  ring_[slot & mask_].store(ev);
+  // Single writer: nobody else moves the head, so a plain load and store
+  // claim the slot exactly.
+  const uint64_t h = head_.load(std::memory_order_relaxed);
+  AtomicSlot& slot = ring_[h & mask_];
+  slot.ts_ns.store(ts_ns, std::memory_order_relaxed);
+  slot.dur_ns.store(dur_ns, std::memory_order_relaxed);
+  slot.a.store(a, std::memory_order_relaxed);
+  slot.b.store(b, std::memory_order_relaxed);
+  slot.ids.store(uint64_t{k.name} | uint64_t{k.cat} << kIdBits |
+                     uint64_t{k.detail} << (2 * kIdBits) |
+                     uint64_t{static_cast<uint8_t>(type)} << (3 * kIdBits),
+                 std::memory_order_relaxed);
+  head_.store(h + 1, std::memory_order_relaxed);
 }
 
 void EventTracer::record(EventType type, std::string_view name,
                          std::string_view cat, std::string_view detail,
                          uint64_t a, uint64_t b, uint64_t dur_ns) {
-  record(type, key(name, cat, detail), now_ns(), a, b, dur_ns);
+  // The intern lock also makes this thread the ring's one writer for the
+  // slot write, so string records from any number of threads stay exact
+  // (and land in timestamp order).
+  std::lock_guard lock(intern_mu_);
+  const EventKey k = key_locked(name, cat, detail);
+  record(type, k, now_ns(), a, b, dur_ns);
 }
 
 void EventTracer::begin_phase(std::string_view name, std::string_view cat) {
@@ -163,10 +151,20 @@ std::vector<TraceEvent> EventTracer::snapshot() const {
 void EventTracer::snapshot_into(std::vector<TraceEvent>& out) const {
   const uint64_t head = recorded();
   const uint64_t count = std::min<uint64_t>(head, capacity_);
-  out.clear();
-  out.reserve(count);
-  for (uint64_t i = head - count; i < head; ++i) {
-    out.push_back(ring_[i & mask_].load());
+  constexpr uint64_t kIdMask = (uint64_t{1} << kIdBits) - 1;
+  out.resize(count);
+  for (uint64_t i = 0; i < count; ++i) {
+    const AtomicSlot& slot = ring_[(head - count + i) & mask_];
+    TraceEvent& ev = out[i];
+    ev.ts_ns = slot.ts_ns.load(std::memory_order_relaxed);
+    ev.dur_ns = slot.dur_ns.load(std::memory_order_relaxed);
+    ev.a = slot.a.load(std::memory_order_relaxed);
+    ev.b = slot.b.load(std::memory_order_relaxed);
+    const uint64_t ids = slot.ids.load(std::memory_order_relaxed);
+    ev.name = static_cast<uint32_t>(ids & kIdMask);
+    ev.cat = static_cast<uint32_t>(ids >> kIdBits & kIdMask);
+    ev.detail = static_cast<uint32_t>(ids >> (2 * kIdBits) & kIdMask);
+    ev.type = static_cast<EventType>(ids >> (3 * kIdBits));
   }
 }
 

@@ -5,27 +5,34 @@
 // The tracer is OFF unless installed: instrumentation sites do
 // `if (EventTracer* t = obs::tracer())` — a single relaxed atomic pointer
 // load — so an uninstrumented run pays one predicted branch per site.
-// Recording is lock-free: a relaxed fetch_add claims a slot in a
-// preallocated ring, the event is written in place, and wraparound
-// overwrites the oldest entries (dropped() counts them). Strings (event
-// names, device names, strategy labels) are interned into a bounded table
-// and referenced by id. The string record() overload interns on every call
-// (one locked hash lookup per string) and stamps the event with now_ns();
-// a site that records the same event shape repeatedly resolves an EventKey
-// once via key() and records through the keyed overload, which is a
-// fixed-size slot write with no lock, no lookup, no allocation and no
-// clock read: it stores the timestamp its caller passes, which is 0 for an
-// untimed event (a checker's per-round record while obs::timing_enabled()
-// is off). Untimed events are ordered by their ring position.
+// Recording writes one fixed-size slot of a preallocated ring in place;
+// wraparound overwrites the oldest entries (dropped() counts them).
+// Strings (event names, device names, strategy labels) are interned into
+// a bounded table and referenced by id. The string record() overload
+// interns on every call (one locked hash lookup per string) and stamps
+// the event with now_ns(); a site that records the same event shape
+// repeatedly resolves an EventKey once via key() and records through the
+// keyed overload, which is a fixed-size slot write with no lock, no
+// atomic read-modify-write, no lookup, no allocation and no clock read:
+// it stores the timestamp its caller passes, which is 0 for an untimed
+// event (a checker's per-round record while obs::timing_enabled() is
+// off). Untimed events are ordered by their ring position.
 //
-// Threading contract (concurrency layer): record() may be called from any
-// number of shard threads concurrently — every ring-slot field is a
-// relaxed atomic, so concurrent writers (same slot after wraparound) and a
-// concurrent snapshot() are data-race-free. Under contention an individual
-// snapshot entry may mix fields from two events (field-level last-writer-
-// wins) — acceptable for a lossy trace ring; counts (recorded/dropped) are
-// exact. The intern table is mutex-guarded; ids (and so EventKeys) are
-// stable for the tracer's lifetime.
+// Threading contract (concurrency layer): the keyed record is
+// single-writer — one thread at a time records through it into a given
+// ring, namely the shard checker that owns the ring (a flight recorder
+// gives every shard its own). It claims its slot with a relaxed load and
+// a relaxed store of the head, so a second concurrent keyed writer would
+// lose counts. String records serialize on the tracer lock (the intern
+// lock they already take), so any number of threads may use them on one
+// tracer (the global tracer's phases, violations, SLO breaches and fault
+// outcomes); a ring takes keyed records or string records from several
+// threads, never both at once. Every ring-slot word is a relaxed atomic, so
+// a snapshot() concurrent with its writer is data-race-free; an entry
+// being overwritten at snapshot time may mix fields from two events
+// (word-level last-writer-wins) — acceptable for a lossy trace ring.
+// Counts (recorded/dropped) are exact. The intern table is mutex-guarded;
+// ids (and so EventKeys) are stable for the tracer's lifetime.
 //
 // Event vocabulary (EventType): checked guest I/O rounds (flight rings),
 // checker violations/quarantines/self-heals, pipeline phase begin/end
@@ -101,14 +108,17 @@ class EventTracer {
   [[nodiscard]] EventKey key(std::string_view name, std::string_view cat,
                              std::string_view detail = {});
 
-  /// Fixed-cost record: a relaxed fetch_add and a slot write, no clock
-  /// read. `ts_ns` is the caller's timestamp (an obs::now_ns() value it
-  /// already holds, or 0 for an untimed event). `k` must come from this
-  /// tracer's key().
+  /// Fixed-cost record: a relaxed head load, five relaxed slot stores and
+  /// a relaxed head store; no lock, no read-modify-write, no clock read.
+  /// Single-writer: only the ring's owner may call it (see the threading
+  /// contract above). `ts_ns` is the caller's timestamp (an obs::now_ns()
+  /// value it already holds, or 0 for an untimed event). `k` must come
+  /// from this tracer's key().
   void record(EventType type, EventKey k, uint64_t ts_ns, uint64_t a = 0,
               uint64_t b = 0, uint64_t dur_ns = 0);
-  /// Convenience for one-off events: interns all three strings first and
-  /// stamps the event with now_ns().
+  /// Convenience for one-off events: interns all three strings and writes
+  /// the slot under the intern lock, stamped with now_ns(). Safe from any
+  /// number of threads.
   void record(EventType type, std::string_view name, std::string_view cat,
               std::string_view detail = {}, uint64_t a = 0, uint64_t b = 0,
               uint64_t dur_ns = 0);
@@ -146,8 +156,8 @@ class EventTracer {
   /// snapshot time may carry mixed fields; prefer quiescent reads for
   /// exact exports.
   [[nodiscard]] std::vector<TraceEvent> snapshot() const;
-  /// snapshot() into `out`, reusing its storage: no allocation once `out`
-  /// holds capacity() events (flight dumps).
+  /// snapshot() into `out`, resized once and written in place: no
+  /// allocation once `out` has capacity() reserved (flight dumps).
   void snapshot_into(std::vector<TraceEvent>& out) const;
 
   /// Chrome trace-event JSON: {"traceEvents":[...]} with ts/dur in
@@ -157,26 +167,27 @@ class EventTracer {
 
   void clear();
 
- private:
+  /// Intern-table bound: strings take ids 0..kMaxStrings-1 (0 is the
+  /// empty string), and once the table is full the overflow sentinel takes
+  /// id kMaxStrings.
   static constexpr size_t kMaxStrings = 4096;
 
-  /// One ring slot. Every field is a relaxed atomic so two writers that
-  /// collide on the slot (ring wraparound) and a concurrent snapshot()
-  /// never constitute a data race; a relaxed store compiles to a plain
-  /// register move on x86/arm64, so recording costs the same as the old
-  /// plain-struct write.
+ private:
+  /// One ring slot: five relaxed atomic words. The three string ids and
+  /// the event type share one word (kIdBits each), so writing or copying
+  /// a slot is five plain moves on x86/arm64, and a writer and a
+  /// concurrent snapshot() never constitute a data race.
+  static constexpr unsigned kIdBits = 16;
+  static_assert(kMaxStrings < (size_t{1} << kIdBits),
+                "every interned id, the overflow sentinel included, must "
+                "fit a packed slot field");
   struct AtomicSlot {
     std::atomic<uint64_t> ts_ns{0};
     std::atomic<uint64_t> dur_ns{0};
     std::atomic<uint64_t> a{0};
     std::atomic<uint64_t> b{0};
-    std::atomic<uint32_t> name{0};
-    std::atomic<uint32_t> cat{0};
-    std::atomic<uint32_t> detail{0};
-    std::atomic<uint8_t> type{0};
-
-    void store(const TraceEvent& ev);
-    [[nodiscard]] TraceEvent load() const;
+    /// name | cat << 16 | detail << 32 | type << 48.
+    std::atomic<uint64_t> ids{0};
   };
 
   /// Transparent hash: intern() looks a string_view up without building a
@@ -189,6 +200,8 @@ class EventTracer {
   };
 
   uint32_t intern_locked(std::string_view s);
+  EventKey key_locked(std::string_view name, std::string_view cat,
+                      std::string_view detail);
 
   mutable std::mutex intern_mu_;
   std::vector<std::string> strings_;

@@ -236,8 +236,7 @@ void EnforcementService::run_shard(const ShardSpec& spec, uint32_t shard_id,
     hooks.report_sink = &queue;
     hooks.shard_id = shard_id;
     if (config_.flight != nullptr) {
-      hooks.local_tracer =
-          &config_.flight->shard_ring(shard_id % config_.flight->shards());
+      hooks.local_tracer = &config_.flight->shard_ring(shard_id);
     }
     next.active = std::make_unique<checker::EsChecker>(
         std::move(active_snap), &workload->device(), ccfg, std::move(hooks));
@@ -358,6 +357,10 @@ void EnforcementService::run_shard(const ShardSpec& spec, uint32_t shard_id,
 }
 
 RunReport EnforcementService::run(const std::vector<ShardSpec>& shards) {
+  // A flight ring is single-writer, so every shard needs its own.
+  SEDSPEC_REQUIRE_MSG(
+      config_.flight == nullptr || config_.flight->shards() >= shards.size(),
+      "ServiceConfig::flight needs one ring per shard");
   RunReport report;
   report.shards.resize(shards.size());
   checker::ReportQueue queue(config_.report_queue_capacity);
@@ -391,8 +394,7 @@ RunReport EnforcementService::run(const std::vector<ShardSpec>& shards) {
         default:
           continue;
       }
-      flight->dump(trigger, r.shard % flight->shards(),
-                   checker::report_kind_name(r.kind));
+      flight->dump(trigger, r.shard, checker::report_kind_name(r.kind));
     }
   };
   std::thread consumer([&] {

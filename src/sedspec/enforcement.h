@@ -112,11 +112,12 @@ struct ServiceConfig {
   uint64_t redeploy_backoff_base_us = 50;
   uint64_t redeploy_backoff_max_us = 2000;
 
-  /// Flight recorder (nullptr = off): each shard's active checker records
-  /// its rounds into `flight->shard_ring(shard % shards)`, and the report
-  /// consumer freezes an incident bundle when a violation, quarantine, or
-  /// degraded-mode report is drained (see obs/flight.h). Must outlive
-  /// run().
+  /// Flight recorder (nullptr = off), one ring per shard: shard i's
+  /// active checker records its rounds into `flight->shard_ring(i)`, its
+  /// ring's only writer, and the report consumer freezes shard i's ring
+  /// into an incident bundle when a violation, quarantine, or
+  /// degraded-mode report from it is drained (see obs/flight.h). run()
+  /// rejects a recorder with fewer rings than shards. Must outlive run().
   obs::FlightRecorder* flight = nullptr;
 };
 
@@ -184,7 +185,9 @@ class EnforcementService {
 
   /// Runs every shard on its own thread plus one report-consumer thread;
   /// returns when all shards have finished and the queue is fully drained.
-  /// A shard failure is captured in its ShardResult, never thrown.
+  /// A shard failure is captured in its ShardResult, never thrown; a
+  /// config.flight with fewer rings than `shards` throws before any shard
+  /// starts.
   [[nodiscard]] RunReport run(const std::vector<ShardSpec>& shards);
 
   [[nodiscard]] const ServiceConfig& config() const { return config_; }

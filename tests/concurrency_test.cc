@@ -14,6 +14,7 @@
 #include <chrono>
 #include <thread>
 
+#include "obs/flight.h"
 #include "sedspec/enforcement.h"
 
 namespace sedspec {
@@ -188,6 +189,64 @@ TEST(Concurrency, ViolationsAreAttributedToTheEmittingShard) {
   EXPECT_EQ(report.reports_dropped,
             report.shards[2].stats.reports_offered -
                 report.shards[2].stats.reports_emitted);
+}
+
+// A flight ring has one writer, its shard's checker: a recorder with fewer
+// rings than shards is rejected before any shard starts, and with one ring
+// per shard a violation bundle freezes the emitting shard's own rounds.
+TEST(Concurrency, FlightRingsAreOnePerShard) {
+  spec::SpecStore store;
+  enforce::publish_device_specs(store, {"fdc", "pcnet"});
+  std::vector<ShardSpec> shards = make_shards(2, 30);
+  shards[0].device = "fdc";
+  shards[1].device = "pcnet";
+  // Victim shard 1: every round is a conditional-jump finding, reported
+  // and survived in monitor mode.
+  shards[1].checker.max_steps = 1;
+  shards[1].checker.monitor_only = true;
+
+  obs::FlightRecorder shared(1);
+  ServiceConfig undersized;
+  undersized.spec_poll_ops = 0;
+  undersized.flight = &shared;
+  EXPECT_THROW((void)EnforcementService(&store, undersized).run(shards),
+               std::logic_error);
+  EXPECT_EQ(shared.shard_ring(0).recorded(), 0u);
+
+  obs::FlightRecorder flight(2);
+  ServiceConfig config;
+  config.spec_poll_ops = 0;
+  config.flight = &flight;
+  const RunReport report = EnforcementService(&store, config).run(shards);
+  ASSERT_TRUE(report.ok());
+  ASSERT_GT(report.count(Report::Kind::kViolation), 0u);
+
+  // Every round of a shard lands in its own ring, and only there.
+  for (size_t i = 0; i < 2; ++i) {
+    SCOPED_TRACE(i);
+    obs::EventTracer& ring = flight.shard_ring(i);
+    const checker::CheckerStats& st = report.shards[i].stats;
+    uint64_t violations = 0;
+    for (const uint64_t v : st.violations_by_strategy) {
+      violations += v;
+    }
+    // One io event per round plus one event per violation.
+    EXPECT_EQ(ring.recorded(), st.rounds + violations);
+    for (const obs::EventTracer::Resolved& r : ring.snapshot_resolved()) {
+      EXPECT_EQ(r.cat, shards[i].device);
+    }
+  }
+  // One epoch, so the violation storm froze exactly one bundle, and it is
+  // the victim's.
+  const std::vector<obs::FlightBundle> bundles = flight.bundles();
+  ASSERT_EQ(bundles.size(), 1u);
+  EXPECT_GT(flight.suppressed(), 0u);
+  EXPECT_EQ(bundles[0].trigger, obs::FlightTrigger::kViolation);
+  EXPECT_EQ(bundles[0].shard, 1u);
+  ASSERT_FALSE(bundles[0].events.empty());
+  for (const obs::FlightBundle::Event& e : bundles[0].events) {
+    EXPECT_EQ(e.cat, "pcnet");
+  }
 }
 
 }  // namespace

@@ -202,6 +202,61 @@ TEST(ObsTracer, KeyedRecordRacesInternWithoutDataRace) {
   }
 }
 
+// A ring slot packs the three string ids and the event type into one
+// word. Every id at the table's limits (the empty string, the last
+// ordinary id, the overflow sentinel), every EventType and full 64-bit
+// numeric fields must come back from snapshot() field for field.
+TEST(ObsTracer, PackedSlotRoundTripsIdLimitsTypesAndWideFields) {
+  obs::EventTracer tracer(16);
+  EXPECT_EQ(tracer.intern(""), 0u);
+  uint32_t last = 0;
+  for (size_t i = 1; i < obs::EventTracer::kMaxStrings; ++i) {
+    last = tracer.intern("s" + std::to_string(i));
+  }
+  EXPECT_EQ(last, obs::EventTracer::kMaxStrings - 1);
+  const uint32_t sentinel = tracer.intern("one-too-many");
+  EXPECT_EQ(sentinel, obs::EventTracer::kMaxStrings);
+  EXPECT_EQ(tracer.intern("and-another"), sentinel);
+  EXPECT_EQ(tracer.string_at(sentinel), "<interned-overflow>");
+
+  const std::vector<obs::EventType> types = {
+      obs::EventType::kIoAccess,   obs::EventType::kViolation,
+      obs::EventType::kQuarantine, obs::EventType::kSelfHeal,
+      obs::EventType::kPhaseBegin, obs::EventType::kPhaseEnd,
+      obs::EventType::kFaultOutcome, obs::EventType::kSloBreach};
+  const uint32_t ids[] = {0, last, sentinel};
+  std::vector<obs::TraceEvent> want;
+  for (size_t i = 0; i < types.size(); ++i) {
+    obs::TraceEvent ev;
+    ev.type = types[i];
+    // Rotate the three limit ids through name, cat and detail.
+    ev.name = ids[i % 3];
+    ev.cat = ids[(i + 1) % 3];
+    ev.detail = ids[(i + 2) % 3];
+    ev.ts_ns = ~uint64_t{0} - i;
+    ev.dur_ns = uint64_t{1} << 63 | i;
+    ev.a = 0xdeadbeefcafef00dull ^ i;
+    ev.b = ~uint64_t{0} ^ (uint64_t{i} << 40);
+    tracer.record(ev.type, obs::EventKey{ev.name, ev.cat, ev.detail},
+                  ev.ts_ns, ev.a, ev.b, ev.dur_ns);
+    want.push_back(ev);
+  }
+
+  const std::vector<obs::TraceEvent> got = tracer.snapshot();
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(got[i].type, want[i].type);
+    EXPECT_EQ(got[i].name, want[i].name);
+    EXPECT_EQ(got[i].cat, want[i].cat);
+    EXPECT_EQ(got[i].detail, want[i].detail);
+    EXPECT_EQ(got[i].ts_ns, want[i].ts_ns);
+    EXPECT_EQ(got[i].dur_ns, want[i].dur_ns);
+    EXPECT_EQ(got[i].a, want[i].a);
+    EXPECT_EQ(got[i].b, want[i].b);
+  }
+}
+
 TEST(ObsHistogram, MergeSumsBucketsAndRaisesMax) {
   obs::Histogram a;
   obs::Histogram b;
@@ -209,12 +264,15 @@ TEST(ObsHistogram, MergeSumsBucketsAndRaisesMax) {
   a.record(100);
   b.record(100);
   b.record(7000);
-  a.merge(b);
-  EXPECT_EQ(a.count(), 4u);
-  EXPECT_EQ(a.sum(), 1u + 100 + 100 + 7000);
-  EXPECT_EQ(a.max(), 7000u);
-  EXPECT_EQ(a.bucket_count(obs::Histogram::bucket_of(100)), 2u);
-  // The source histogram is untouched.
+  obs::Histogram::State merged = a.state();
+  const obs::Histogram::State source = b.state();
+  merged.merge(source);
+  EXPECT_EQ(merged.count, 4u);
+  EXPECT_EQ(merged.sum, 1u + 100 + 100 + 7000);
+  EXPECT_EQ(merged.max, 7000u);
+  EXPECT_EQ(merged.buckets[obs::Histogram::bucket_of(100)], 2u);
+  // The source is untouched.
+  EXPECT_EQ(source.count, 2u);
   EXPECT_EQ(b.count(), 2u);
 }
 

@@ -500,17 +500,20 @@ TEST(ObsFlight, DumpAndRenderWhileShardsRecord) {
   // while this thread dumps (copying rings, freezing the registry) and
   // renders bundles (reading frozen keys outside the registry lock). The
   // TSan lane runs this; in other builds it checks the bundles parse.
+  // Each ring has one writer, so its recorded() count is exact.
   obs::FlightConfig cfg;
   cfg.shard_ring_capacity = 64;
   cfg.max_bundles = 4;
   obs::FlightRecorder flight(2, cfg);
   std::atomic<bool> stop{false};
   std::vector<std::thread> shards;
+  uint64_t written[2] = {0, 0};
   for (size_t shard = 0; shard < 2; ++shard) {
-    shards.emplace_back([&flight, &stop, shard] {
+    shards.emplace_back([&flight, &stop, &written, shard] {
       obs::EventTracer& ring = flight.shard_ring(shard);
       const obs::EventKey k = ring.key("io_read", "fdc");
-      for (uint64_t i = 0; !stop.load(std::memory_order_relaxed); ++i) {
+      uint64_t i = 0;
+      for (; !stop.load(std::memory_order_relaxed); ++i) {
         ring.record(obs::EventType::kIoAccess, k, /*ts_ns=*/0, i, shard);
         if (i % 64 == 0) {
           obs::metrics()
@@ -519,6 +522,7 @@ TEST(ObsFlight, DumpAndRenderWhileShardsRecord) {
               .inc();
         }
       }
+      written[shard] = i;
     });
   }
   while (flight.shard_ring(0).recorded() < 64 ||
@@ -536,6 +540,8 @@ TEST(ObsFlight, DumpAndRenderWhileShardsRecord) {
   for (std::thread& t : shards) {
     t.join();
   }
+  EXPECT_EQ(flight.shard_ring(0).recorded(), written[0]);
+  EXPECT_EQ(flight.shard_ring(1).recorded(), written[1]);
   const std::vector<obs::FlightBundle> bundles = flight.bundles();
   ASSERT_EQ(bundles.size(), 4u);
   EXPECT_EQ(bundles.back().sequence, 199u);
