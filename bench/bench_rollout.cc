@@ -17,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "checker/checker.h"
 #include "common/log.h"
 #include "control/control_plane.h"
 #include "obs/metrics.h"
@@ -32,7 +31,7 @@ using namespace sedspec;
 constexpr size_t kShards = 8;
 constexpr uint64_t kWindowOps = 64;
 
-std::vector<enforce::ShardSpec> make_fleet(const std::string& label_tag) {
+std::vector<enforce::ShardSpec> make_fleet() {
   std::vector<enforce::ShardSpec> fleet(kShards);
   for (size_t i = 0; i < kShards; ++i) {
     fleet[i].device = "fdc";
@@ -40,45 +39,27 @@ std::vector<enforce::ShardSpec> make_fleet(const std::string& label_tag) {
     // Same seed everywhere: identical operation mix in both passes.
     fleet[i].seed = 9000;
     fleet[i].mode = guest::InteractionMode::kSequential;
-    if (!label_tag.empty()) {
-      // Unique per-shard label so this pass's histogram samples are
-      // isolated from the rollout windows' per-window labels.
-      fleet[i].checker.metrics_label = label_tag + std::to_string(i);
-    }
   }
   return fleet;
 }
 
-struct SteadySample {
-  double mean_check_ns = 0;
-  uint64_t p99_ns = 0;
-};
+double mean_ns(const obs::Histogram::State& h) {
+  return h.count == 0 ? 0.0
+                      : static_cast<double>(h.sum) /
+                            static_cast<double>(h.count);
+}
 
-SteadySample steady_state(spec::SpecStore& store) {
+/// The steady-state pass's check latencies, merged over the fleet.
+obs::Histogram::State steady_state(spec::SpecStore& store) {
   enforce::ServiceConfig config;
   config.spec_poll_ops = 0;
   enforce::EnforcementService service(&store, config);
-  const auto fleet = make_fleet("fdc@steady");
-  const enforce::RunReport report = service.run(fleet);
-
-  SteadySample s;
-  if (report.fleet.rounds > 0) {
-    s.mean_check_ns = static_cast<double>(report.fleet.check_ns) /
-                      static_cast<double>(report.fleet.rounds);
-  }
+  const enforce::RunReport report = service.run(make_fleet());
   obs::Histogram::State merged;
-  for (const auto& shard : fleet) {
-    const obs::Histogram* h = obs::metrics().find_histogram(
-        "checker_check_latency_ns",
-        obs::label({{"device", shard.checker.metrics_label},
-                    {"strategies",
-                     checker::strategy_set_name(shard.checker)}}));
-    if (h != nullptr) {
-      merged.merge(h->state());
-    }
+  for (const enforce::ShardResult& shard : report.shards) {
+    merged.merge(shard.check_latency);
   }
-  s.p99_ns = merged.quantile(0.99);
-  return s;
+  return merged;
 }
 
 }  // namespace
@@ -95,13 +76,12 @@ int main() {
   obs::set_timing_enabled(true);
 
   // Baseline: the fleet with only the active spec deployed.
-  const SteadySample steady = steady_state(store);
+  const obs::Histogram::State steady = steady_state(store);
+  const uint64_t steady_p99 = steady.quantile(0.99);
   std::printf("steady state:  mean check %.0f ns, p99 %llu ns\n",
-              steady.mean_check_ns,
-              static_cast<unsigned long long>(steady.p99_ns));
-  sink.put("check_latency_mean_ns_steady", steady.mean_check_ns);
-  sink.put("check_latency_p99_ns_steady",
-           static_cast<double>(steady.p99_ns));
+              mean_ns(steady), static_cast<unsigned long long>(steady_p99));
+  sink.put("check_latency_mean_ns_steady", mean_ns(steady));
+  sink.put("check_latency_p99_ns_steady", static_cast<double>(steady_p99));
 
   // Rollout: stage an identical candidate and promote it through the full
   // state machine. Identical spec => zero would-block, clean windows.
@@ -123,7 +103,7 @@ int main() {
 
   const auto t0 = std::chrono::steady_clock::now();
   const control::RolloutOutcome outcome =
-      plane.run_rollout("fdc", make_fleet(""), rcfg);
+      plane.run_rollout("fdc", make_fleet(), rcfg);
   const auto t1 = std::chrono::steady_clock::now();
   obs::set_timing_enabled(false);
 
@@ -141,13 +121,10 @@ int main() {
   uint64_t cand_p99 = 0;
   double active_mean = 0;
   for (const auto& w : outcome.windows) {
-    active_p99 = std::max(active_p99, w.observation.active_latency_p99_ns);
-    cand_p99 = std::max(cand_p99, w.observation.candidate_latency_p99_ns);
-    if (w.observation.active_rounds > 0) {
-      active_mean = std::max(
-          active_mean, static_cast<double>(w.observation.active_check_ns) /
-                           static_cast<double>(w.observation.active_rounds));
-    }
+    const control::StageObservation& o = w.observation;
+    active_p99 = std::max(active_p99, o.active_latency.quantile(0.99));
+    cand_p99 = std::max(cand_p99, o.candidate_latency.quantile(0.99));
+    active_mean = std::max(active_mean, mean_ns(o.active_latency));
   }
 
   std::printf("rollout:       mean check %.0f ns, active p99 %llu ns, "

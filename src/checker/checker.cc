@@ -89,6 +89,12 @@ std::string_view report_kind_name(Report::Kind k) {
   return "?";
 }
 
+namespace {
+
+/// Canonical name for the enabled-strategy set of a config: "all", "none",
+/// a single strategy ("parameter" / "indirect" / "conditional"), or
+/// "mixed". The `strategies` label on check-latency histograms, so
+/// single-strategy deployments yield per-strategy percentiles.
 std::string strategy_set_name(const CheckerConfig& config) {
   const int enabled = (config.enable_parameter ? 1 : 0) +
                       (config.enable_indirect ? 1 : 0) +
@@ -110,6 +116,8 @@ std::string strategy_set_name(const CheckerConfig& config) {
   }
   return "mixed";
 }
+
+}  // namespace
 
 void publish_checker_stats(obs::MetricsRegistry& registry,
                            const std::string& device_label,
@@ -175,6 +183,7 @@ EsChecker::EsChecker(const spec::EsCfg* cfg, Device* device,
       "checker_check_latency_ns",
       obs::label({{"device", metrics_label()},
                   {"strategies", strategy_set_name(config_)}}));
+  latency_base_ = latency_hist_->state();
   violations_counter_ = &obs::metrics().counter(
       "checker_violations_total", obs::label({{"device", metrics_label()}}));
   engine_ = engine::make_engine(cfg_, device_, &shadow_, &config_);

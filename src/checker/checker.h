@@ -251,13 +251,6 @@ struct CheckerStats {
   void merge(const CheckerStats& other);
 };
 
-/// Canonical name for the enabled-strategy set of a config: "all", "none",
-/// a single strategy ("parameter" / "indirect" / "conditional"), or
-/// "mixed". Used as the `strategies` metric label on check-latency
-/// histograms, so single-strategy deployments yield per-strategy
-/// percentiles.
-[[nodiscard]] std::string strategy_set_name(const CheckerConfig& config);
-
 /// Publishes every CheckerStats field as a `checker_*` gauge labeled
 /// `device="<label>"` into `registry` (snapshot semantics: gauges are
 /// overwritten each call).
@@ -334,6 +327,16 @@ class EsChecker final : public sedspec::IoProxy {
 
   [[nodiscard]] const CheckerStats& stats() const { return stats_; }
   void reset_stats() { stats_ = {}; }
+
+  /// This checker's check latencies since construction: its
+  /// `checker_check_latency_ns` series as a window (delta_since a base
+  /// captured by the constructor), empty while timing is off. Exact only
+  /// while this checker is the series' one writer, i.e. no other live
+  /// checker shares its metrics label and strategy set (the enforcement
+  /// service's `device#shard` and `~cand` labels guarantee that per shard).
+  [[nodiscard]] obs::Histogram::State check_latency() const {
+    return latency_hist_->state().delta_since(latency_base_);
+  }
 
   /// Publishes this checker's stats into `registry` (gauges labeled with
   /// the device name; see publish_checker_stats).
@@ -429,6 +432,9 @@ class EsChecker final : public sedspec::IoProxy {
   std::unique_ptr<sedspec::StateArena> checkpoint_;  // rollback mode only
   // hooks_.local_tracer's key per EventId, resolved by attach().
   std::array<obs::EventKey, kEventIds> ring_keys_{};
+  // latency_hist_ at construction, the base of check_latency(). Last, so
+  // its 65 buckets do not sit between the fields a round touches.
+  obs::Histogram::State latency_base_;
 };
 
 }  // namespace sedspec::checker

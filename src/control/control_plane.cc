@@ -2,23 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <utility>
 
 #include "common/assert.h"
 #include "common/log.h"
-#include "obs/metrics.h"
 #include "spec/serial.h"
 
 namespace sedspec::control {
 
 namespace {
-
-std::string shard_base_label(const enforce::ShardSpec& s, size_t index) {
-  return s.checker.metrics_label.empty()
-             ? s.device + "#" + std::to_string(index)
-             : s.checker.metrics_label;
-}
 
 uint64_t total_violations(const checker::CheckerStats& s) {
   return s.violations_by_strategy[0] + s.violations_by_strategy[1] +
@@ -29,9 +21,8 @@ uint64_t total_violations(const checker::CheckerStats& s) {
 /// the live fleet's — benign traffic blocked maps onto the would-block
 /// guardrail (those ARE false positives, no longer hypothetical), and any
 /// violation on benign traffic is candidate surplus over a zero baseline.
-StageObservation confirm_observation(
-    const std::vector<enforce::ShardSpec>& fleet,
-    const std::vector<bool>& is_canary, const enforce::RunReport& report) {
+StageObservation confirm_observation(const std::vector<bool>& is_canary,
+                                     const enforce::RunReport& report) {
   StageObservation o;
   for (size_t i = 0; i < report.shards.size(); ++i) {
     const enforce::ShardResult& s = report.shards[i];
@@ -47,7 +38,37 @@ StageObservation confirm_observation(
       o.would_block += s.stats.blocked;
     }
   }
-  (void)fleet;
+  o.report_drops = report.reports_dropped;
+  return o;
+}
+
+/// Shadow window: each canary's candidate against its active checker,
+/// latency included (a ShardResult carries its shard's own latency
+/// windows for the run).
+StageObservation shadow_observation(const std::vector<bool>& is_canary,
+                                    const enforce::RunReport& report) {
+  StageObservation o;
+  for (size_t i = 0; i < report.shards.size(); ++i) {
+    const enforce::ShardResult& s = report.shards[i];
+    // Failure-domain feed is fleet-wide: a crash or quarantine spike
+    // anywhere in the window is evidence against the rollout.
+    if (!s.ok()) {
+      ++o.shard_failures;
+    }
+    o.quarantines += s.stats.quarantines;
+    o.contained_faults += s.stats.contained_faults + s.shadow_stats.contained_faults;
+    if (i >= is_canary.size() || !is_canary[i]) {
+      continue;
+    }
+    ++o.shadow_shards;
+    o.shadow_rounds += s.shadow_stats.rounds;
+    o.candidate_violations += total_violations(s.shadow_stats);
+    o.active_violations += total_violations(s.stats);
+    o.would_block += s.shadow_would_block;
+    o.candidate_blocked += s.shadow_stats.blocked;
+    o.active_latency.merge(s.check_latency);
+    o.candidate_latency.merge(s.shadow_check_latency);
+  }
   o.report_drops = report.reports_dropped;
   return o;
 }
@@ -78,72 +99,9 @@ void ControlPlane::persist(const RolloutRecord& rec) {
   journal_.push_back(rec.serialize());
 }
 
-StageObservation ControlPlane::observe_window(
-    const std::vector<enforce::ShardSpec>& fleet,
-    const std::vector<bool>& is_canary, const enforce::RunReport& report,
-    const std::string& window_tag) const {
-  (void)window_tag;
-  StageObservation o;
-  obs::Histogram::State active_lat;
-  obs::Histogram::State cand_lat;
-  for (size_t i = 0; i < report.shards.size(); ++i) {
-    const enforce::ShardResult& s = report.shards[i];
-    // Failure-domain feed is fleet-wide: a crash or quarantine spike
-    // anywhere in the window is evidence against the rollout.
-    if (!s.ok()) {
-      ++o.shard_failures;
-    }
-    o.quarantines += s.stats.quarantines;
-    o.contained_faults += s.stats.contained_faults + s.shadow_stats.contained_faults;
-    if (i >= is_canary.size() || !is_canary[i]) {
-      continue;
-    }
-    ++o.shadow_shards;
-    o.shadow_rounds += s.shadow_stats.rounds;
-    o.candidate_violations += total_violations(s.shadow_stats);
-    o.active_violations += total_violations(s.stats);
-    o.would_block += s.shadow_would_block;
-    o.candidate_blocked += s.shadow_stats.blocked;
-    o.active_check_ns += s.stats.check_ns;
-    o.active_rounds += s.stats.rounds;
-    o.candidate_check_ns += s.shadow_stats.check_ns;
-
-    // Per-window latency p99s: every window deploys with a unique
-    // metrics_label, so these histograms hold exactly this window's
-    // samples (a cumulative histogram would smear earlier stages into
-    // the verdict). Reconstruct the label the checker registered under.
-    checker::CheckerConfig applied = fleet[i].checker;
-    if (service_.policy != nullptr) {
-      applied = apply_policy(
-          service_.policy->effective(enforce::shard_vm(i), fleet[i].device),
-          applied);
-    }
-    const std::string strategies = checker::strategy_set_name(applied);
-    const obs::Histogram* ah = obs::metrics().find_histogram(
-        "checker_check_latency_ns",
-        obs::label({{"device", fleet[i].checker.metrics_label},
-                    {"strategies", strategies}}));
-    const obs::Histogram* ch = obs::metrics().find_histogram(
-        "checker_check_latency_ns",
-        obs::label({{"device", fleet[i].checker.metrics_label + "~cand"},
-                    {"strategies", strategies}}));
-    if (ah != nullptr) {
-      active_lat.merge(ah->state());
-    }
-    if (ch != nullptr) {
-      cand_lat.merge(ch->state());
-    }
-  }
-  o.report_drops = report.reports_dropped;
-  o.active_latency_p99_ns = active_lat.quantile(0.99);
-  o.candidate_latency_p99_ns = cand_lat.quantile(0.99);
-  return o;
-}
-
 RolloutOutcome ControlPlane::run_rollout(
     const std::string& device, std::vector<enforce::ShardSpec> fleet,
     const RolloutConfig& cfg) {
-  const uint64_t ro = ++rollout_seq_;
   RolloutOutcome out;
   RolloutRecord& rec = out.record;
   rec.device = device;
@@ -184,25 +142,15 @@ RolloutOutcome ControlPlane::run_rollout(
   enforce::ServiceConfig svc = service_;
   svc.candidate_store = &candidate_;
 
-  // One observation window: copy the fleet, flip the canary flags, stamp a
-  // unique metric label per shard, run, assemble + filter the observation,
-  // and record the verdict.
+  // One observation window: copy the fleet, flip the canary flags, run,
+  // assemble + filter the observation, and record the verdict.
   auto run_window = [&](const std::vector<bool>& canary, RolloutState state,
                         uint32_t stage, uint32_t attempt) {
     std::vector<enforce::ShardSpec> shards = fleet;
-    std::ostringstream tag;
-    tag << "ro" << ro;
-    if (state == RolloutState::kPromoting) {
-      tag << "confirm" << attempt;
-    } else {
-      tag << "s" << stage << "a" << attempt;
-    }
     for (size_t i = 0; i < shards.size(); ++i) {
       shards[i].ops = cfg.observe_ops;
       shards[i].shadow_candidate =
           state == RolloutState::kShadow && i < canary.size() && canary[i];
-      shards[i].checker.metrics_label =
-          shard_base_label(fleet[i], i) + "@" + tag.str();
     }
     enforce::EnforcementService service(active_, svc);
     const enforce::RunReport report = service.run(shards);
@@ -212,8 +160,8 @@ RolloutOutcome ControlPlane::run_rollout(
     w.stage = stage;
     w.attempt = attempt;
     w.observation = state == RolloutState::kShadow
-                        ? observe_window(shards, canary, report, tag.str())
-                        : confirm_observation(shards, canary, report);
+                        ? shadow_observation(canary, report)
+                        : confirm_observation(canary, report);
     if (observe_filter) {
       observe_filter(w.observation);
     }
@@ -272,28 +220,28 @@ RolloutOutcome ControlPlane::run_rollout(
   persist(rec);
   active_->publish(spec::EsCfg(cand->cfg));
 
-  if (cfg.confirm_after_promote) {
-    std::vector<bool> canary(fleet.size(), false);
-    for (const size_t i : eligible) {
-      canary[i] = true;
+  // Confirmation on live traffic: the candidate is active now, and a
+  // dirty window rolls it back.
+  std::vector<bool> canary(fleet.size(), false);
+  for (const size_t i : eligible) {
+    canary[i] = true;
+  }
+  WindowRecord confirm;
+  for (uint32_t attempt = 0;; ++attempt) {
+    confirm = run_window(canary, RolloutState::kPromoting, rec.stage_index,
+                         attempt);
+    if (confirm.decision.verdict != StageVerdict::kRetry ||
+        attempt >= cfg.max_stage_retries) {
+      break;
     }
-    WindowRecord w;
-    for (uint32_t attempt = 0;; ++attempt) {
-      w = run_window(canary, RolloutState::kPromoting, rec.stage_index,
-                     attempt);
-      if (w.decision.verdict != StageVerdict::kRetry ||
-          attempt >= cfg.max_stage_retries) {
-        break;
-      }
-    }
-    if (w.decision.verdict != StageVerdict::kPromote) {
-      // Auto-rollback of a just-promoted spec: republish the baseline the
-      // record carries, exactly what crash recovery would do.
-      spec::LoadResult lr = spec::load(rec.baseline_spec);
-      SEDSPEC_REQUIRE_MSG(lr.ok(), "baseline spec must reload");
-      active_->publish(std::move(*lr.cfg));
-      return rolled_back("confirmation failed: " + w.decision.reason);
-    }
+  }
+  if (confirm.decision.verdict != StageVerdict::kPromote) {
+    // Auto-rollback of a just-promoted spec: republish the baseline the
+    // record carries, exactly what crash recovery would do.
+    spec::LoadResult lr = spec::load(rec.baseline_spec);
+    SEDSPEC_REQUIRE_MSG(lr.ok(), "baseline spec must reload");
+    active_->publish(std::move(*lr.cfg));
+    return rolled_back("confirmation failed: " + confirm.decision.reason);
   }
 
   rec.state = RolloutState::kActive;

@@ -108,16 +108,11 @@ class ControlPlane {
 
  private:
   void persist(const RolloutRecord& rec);
-  [[nodiscard]] StageObservation observe_window(
-      const std::vector<enforce::ShardSpec>& fleet,
-      const std::vector<bool>& is_canary, const enforce::RunReport& report,
-      const std::string& window_tag) const;
 
   spec::SpecStore* active_;
   spec::SpecStore candidate_;
   enforce::ServiceConfig service_;
   std::vector<std::vector<uint8_t>> journal_;
-  uint64_t rollout_seq_ = 0;  // unique per-window metric labels
 };
 
 }  // namespace sedspec::control

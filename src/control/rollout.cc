@@ -96,31 +96,30 @@ StageDecision evaluate_stage(const RolloutThresholds& t,
       << o.shadow_rounds << " rounds";
     return rollback(r.str());
   }
-  if (t.max_latency_ratio > 0) {
-    // Mean per-round check cost (always cheap to derive) and the per-stage
-    // histogram p99s when latency sampling was on. Either signal tripping
-    // rolls back; both are skipped when the denominator is 0 (sampling
+  if (t.max_latency_ratio > 0 && o.active_latency.count > 0 &&
+      o.candidate_latency.count > 0) {
+    // Mean and p99 check latency, candidate over active; either ratio
+    // tripping rolls back. Skipped when a side has no samples (sampling
     // off).
-    if (o.active_check_ns > 0 && o.active_rounds > 0 && o.shadow_rounds > 0) {
-      const double active_mean = static_cast<double>(o.active_check_ns) /
-                                 static_cast<double>(o.active_rounds);
-      const double cand_mean = static_cast<double>(o.candidate_check_ns) /
-                               static_cast<double>(o.shadow_rounds);
-      if (active_mean > 0 && cand_mean / active_mean > t.max_latency_ratio) {
-        std::ostringstream r;
-        r << "candidate check latency " << cand_mean << " ns/round vs active "
-          << active_mean << " (ratio cap " << t.max_latency_ratio << ")";
-        return rollback(r.str());
-      }
+    auto mean = [](const obs::Histogram::State& h) {
+      return static_cast<double>(h.sum) / static_cast<double>(h.count);
+    };
+    const double active_mean = mean(o.active_latency);
+    const double cand_mean = mean(o.candidate_latency);
+    if (active_mean > 0 && cand_mean / active_mean > t.max_latency_ratio) {
+      std::ostringstream r;
+      r << "candidate check latency " << cand_mean << " ns/round vs active "
+        << active_mean << " (ratio cap " << t.max_latency_ratio << ")";
+      return rollback(r.str());
     }
-    if (o.active_latency_p99_ns > 0 &&
-        static_cast<double>(o.candidate_latency_p99_ns) /
-                static_cast<double>(o.active_latency_p99_ns) >
+    const uint64_t active_p99 = o.active_latency.quantile(0.99);
+    const uint64_t cand_p99 = o.candidate_latency.quantile(0.99);
+    if (active_p99 > 0 &&
+        static_cast<double>(cand_p99) / static_cast<double>(active_p99) >
             t.max_latency_ratio) {
       std::ostringstream r;
-      r << "candidate p99 " << o.candidate_latency_p99_ns << " ns vs active "
-        << o.active_latency_p99_ns << " (ratio cap " << t.max_latency_ratio
-        << ")";
+      r << "candidate p99 " << cand_p99 << " ns vs active " << active_p99
+        << " (ratio cap " << t.max_latency_ratio << ")";
       return rollback(r.str());
     }
   }

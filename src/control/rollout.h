@@ -32,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "spec/serial.h"
 
 namespace sedspec::control {
@@ -61,9 +62,10 @@ struct RolloutThresholds {
   double max_would_block_rate = 0.0;
   /// Candidate violation surplus over the active spec, per shadow round.
   double max_violation_delta_rate = 0.0;
-  /// Candidate mean-check-latency over active (per-round check_ns) and
-  /// candidate p99 over active p99 from the per-stage histograms. 0
-  /// disables the ratio checks (e.g. when timing sampling is off).
+  /// Candidate mean check latency over active, and candidate p99 over
+  /// active p99, both from the window's latency States. 0 disables the
+  /// ratio checks (with timing sampling off the States are empty and the
+  /// checks skip on their own).
   double max_latency_ratio = 4.0;
   /// Shard crashes tolerated inside one window (failure-domain feed).
   uint64_t max_shard_failures = 0;
@@ -78,8 +80,8 @@ struct RolloutThresholds {
   uint64_t min_shadow_rounds = 1;
 };
 
-/// What one observation window saw (aggregated from the enforcement run
-/// plus the obs registry; see ControlPlane::observe_stage).
+/// What one observation window saw, aggregated from the enforcement run's
+/// ShardResults (see ControlPlane::run_rollout).
 struct StageObservation {
   uint64_t shadow_shards = 0;
   uint64_t shadow_rounds = 0;          // candidate-checked rounds
@@ -91,11 +93,11 @@ struct StageObservation {
   uint64_t quarantines = 0;            // fail-closed containments
   uint64_t contained_faults = 0;
   uint64_t report_drops = 0;
-  uint64_t active_check_ns = 0;        // accumulated, active checkers
-  uint64_t candidate_check_ns = 0;     // accumulated, shadow checkers
-  uint64_t active_rounds = 0;
-  uint64_t active_latency_p99_ns = 0;  // per-stage histogram p99s
-  uint64_t candidate_latency_p99_ns = 0;
+  /// This window's check latencies on the canary shards, merged from
+  /// ShardResult::check_latency / shadow_check_latency (empty while timing
+  /// sampling is off).
+  obs::Histogram::State active_latency;
+  obs::Histogram::State candidate_latency;
 };
 
 enum class StageVerdict : uint8_t {
@@ -124,9 +126,6 @@ struct RolloutConfig {
   /// Inconclusive-window retries per stage before giving up (rollback).
   uint32_t max_stage_retries = 2;
   RolloutThresholds thresholds;
-  /// Run a confirmation window after publishing the candidate as active
-  /// (Promoting); a dirty confirmation rolls back to the baseline.
-  bool confirm_after_promote = true;
 };
 
 /// Persisted rollout state. Serialized behind a magic/version/CRC envelope

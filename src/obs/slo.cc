@@ -4,24 +4,9 @@
 #include <sstream>
 
 #include "common/assert.h"
-#include "obs/json.h"
 #include "obs/trace.h"
 
 namespace sedspec::obs {
-
-const char* slo_kind_name(SloKind k) {
-  switch (k) {
-    case SloKind::kHistogramQuantileMax:
-      return "histogram_quantile_max";
-    case SloKind::kCounterRateMax:
-      return "counter_rate_max";
-    case SloKind::kGaugeMax:
-      return "gauge_max";
-    case SloKind::kGaugeGrowthMax:
-      return "gauge_growth_max";
-  }
-  return "?";
-}
 
 void SloEngine::add(SloSpec spec) {
   SEDSPEC_REQUIRE(!spec.name.empty());
@@ -66,9 +51,7 @@ double SloEngine::observe(const SloSpec& spec, const WindowSample& w,
       d << spec.metric << " rate = " << value << "/s";
       break;
     }
-    case SloKind::kGaugeMax:
     case SloKind::kGaugeGrowthMax: {
-      const bool growth = spec.kind == SloKind::kGaugeGrowthMax;
       int64_t v = 0;
       for (const WindowGauge& g : w.gauges) {
         if (g.name != spec.metric) {
@@ -77,10 +60,10 @@ double SloEngine::observe(const SloSpec& spec, const WindowSample& w,
         if (!spec.labels.empty() && g.labels != spec.labels) {
           continue;
         }
-        v += growth ? g.delta : g.value;
+        v += g.delta;
       }
       value = static_cast<double>(v);
-      d << spec.metric << (growth ? " growth = " : " = ") << value;
+      d << spec.metric << " growth = " << value;
       break;
     }
   }
@@ -140,40 +123,7 @@ std::vector<SloVerdict> SloEngine::evaluate(const WindowSample& w) {
   if (any_violating) {
     ++violating_windows_;
   }
-  last_ = verdicts;
   return verdicts;
-}
-
-std::string SloEngine::to_json() const {
-  std::ostringstream out;
-  out << "{\n  \"slos\": [";
-  bool first = true;
-  for (const SloSpec& s : specs_) {
-    out << (first ? "" : ",") << "\n    {\"name\": \"" << json_escape(s.name)
-        << "\", \"kind\": \"" << slo_kind_name(s.kind) << "\", \"metric\": \""
-        << json_escape(s.metric) << "\", \"labels\": \""
-        << json_escape(s.labels) << "\", \"quantile\": " << s.quantile
-        << ", \"threshold\": " << s.threshold
-        << ", \"fast_windows\": " << s.fast_windows
-        << ", \"slow_windows\": " << s.slow_windows
-        << ", \"budget\": " << s.budget << "}";
-    first = false;
-  }
-  out << "\n  ],\n  \"verdicts_last\": [";
-  first = true;
-  for (const SloVerdict& v : last_) {
-    out << (first ? "" : ",") << "\n    {\"slo\": \"" << json_escape(v.slo)
-        << "\", \"value\": " << v.value << ", \"threshold\": " << v.threshold
-        << ", \"violating\": " << (v.violating ? "true" : "false")
-        << ", \"fast_burn\": " << v.fast_burn
-        << ", \"slow_burn\": " << v.slow_burn
-        << ", \"breach\": " << (v.breach ? "true" : "false")
-        << ", \"detail\": \"" << json_escape(v.detail) << "\"}";
-    first = false;
-  }
-  out << "\n  ],\n  \"breaches\": " << breaches_
-      << ",\n  \"violating_windows\": " << violating_windows_ << "\n}\n";
-  return out.str();
 }
 
 }  // namespace sedspec::obs

@@ -3,10 +3,9 @@
 //
 // An SloSpec names one metric condition evaluated per window — a windowed
 // histogram quantile bound (`check_latency_ns p99 < 500us`), a counter
-// rate bound (`report_queue_dropped_total rate == 0`), a gauge level, or a
-// gauge growth bound (`rss_bytes growth < X/window`). Each window either
-// meets or violates the condition; a single bad window is weather, not an
-// incident.
+// rate bound (`report_queue_dropped_total rate == 0`), or a gauge growth
+// bound (`rss_bytes growth < X/window`). Each window either meets or
+// violates the condition; a single bad window is weather, not an incident.
 //
 // Breach detection follows the SRE multi-window burn-rate rule: the
 // violating-window fraction over a short `fast_windows` horizon AND a long
@@ -35,21 +34,17 @@ enum class SloKind : uint8_t {
   kHistogramQuantileMax = 0,
   /// Per-window counter rate (delta/sec) must stay <= threshold.
   kCounterRateMax,
-  /// Gauge value at window end must stay <= threshold.
-  kGaugeMax,
   /// Gauge growth across one window must stay <= threshold.
   kGaugeGrowthMax,
 };
-
-[[nodiscard]] const char* slo_kind_name(SloKind k);
 
 struct SloSpec {
   std::string name;    // objective name (trace detail, verdict key)
   SloKind kind = SloKind::kHistogramQuantileMax;
   std::string metric;  // registry metric family name
   /// Canonical label string selecting one series; empty = merge ALL series
-  /// of the family (histograms: bucket-merge; counters: delta sum; gauges:
-  /// value/delta sum).
+  /// of the family (histograms: bucket-merge; counters and gauges: delta
+  /// sum).
   std::string labels;
   double quantile = 0.99;  // kHistogramQuantileMax only
   double threshold = 0.0;  // compare: observed <= threshold is healthy
@@ -91,9 +86,6 @@ class SloEngine {
     return violating_windows_;
   }
 
-  /// {"slos":[{spec...}],"verdicts_last":[...],"breaches":N}
-  [[nodiscard]] std::string to_json() const;
-
  private:
   struct History {
     std::deque<bool> violating;  // most recent slow_windows flags
@@ -105,7 +97,6 @@ class SloEngine {
 
   std::vector<SloSpec> specs_;
   std::vector<History> history_;  // parallel to specs_
-  std::vector<SloVerdict> last_;
   uint64_t breaches_ = 0;
   uint64_t violating_windows_ = 0;
 };

@@ -1,6 +1,5 @@
 #include "obs/timeseries.h"
 
-#include <algorithm>
 #include <sstream>
 #include <utility>
 
@@ -160,70 +159,11 @@ const WindowSample& TimeSeries::sample(uint64_t now_ns) {
   base_ns_ = now_ns;
   have_base_ = true;
 
-  fold_aggregates(w);
   ring_.push_back(std::move(w));
   while (ring_.size() > cfg_.window_capacity) {
     ring_.pop_front();
   }
   return ring_.back();
-}
-
-namespace {
-
-void fold_one(std::map<std::string, SeriesAggregate>& aggs,
-              const std::string& key, double v) {
-  auto [it, inserted] = aggs.try_emplace(key);
-  SeriesAggregate& a = it->second;
-  if (inserted) {
-    a.min = v;
-    a.max = v;
-  } else {
-    a.min = std::min(a.min, v);
-    a.max = std::max(a.max, v);
-  }
-  a.sum += v;
-  ++a.windows;
-}
-
-std::string series_key(const std::string& name, const std::string& labels,
-                       const char* field) {
-  std::string key = name;
-  key += '{';
-  key += labels;
-  key += "}.";
-  key += field;
-  return key;
-}
-
-}  // namespace
-
-void TimeSeries::fold_aggregates(const WindowSample& w) {
-  for (const WindowCounter& c : w.counters) {
-    fold_one(aggregates_, series_key(c.name, c.labels, "rate"), c.rate);
-    fold_one(aggregates_, series_key(c.name, c.labels, "delta"),
-             static_cast<double>(c.delta));
-  }
-  for (const WindowGauge& g : w.gauges) {
-    fold_one(aggregates_, series_key(g.name, g.labels, "value"),
-             static_cast<double>(g.value));
-  }
-  for (const WindowHistogram& h : w.histograms) {
-    fold_one(aggregates_, series_key(h.name, h.labels, "p50"),
-             static_cast<double>(h.p50));
-    fold_one(aggregates_, series_key(h.name, h.labels, "p90"),
-             static_cast<double>(h.p90));
-    fold_one(aggregates_, series_key(h.name, h.labels, "p99"),
-             static_cast<double>(h.p99));
-    fold_one(aggregates_, series_key(h.name, h.labels, "p999"),
-             static_cast<double>(h.p999));
-    fold_one(aggregates_, series_key(h.name, h.labels, "count"),
-             static_cast<double>(h.state.count));
-  }
-}
-
-const SeriesAggregate* TimeSeries::find_aggregate(std::string_view key) const {
-  auto it = aggregates_.find(std::string(key));
-  return it == aggregates_.end() ? nullptr : &it->second;
 }
 
 std::string TimeSeries::to_json() const {
@@ -264,16 +204,7 @@ std::string TimeSeries::to_json() const {
     out << "]}";
     first_w = false;
   }
-  out << "\n  ],\n  \"aggregates\": {";
-  bool first = true;
-  for (const auto& [key, a] : aggregates_) {
-    out << (first ? "" : ",") << "\n    \"" << json_escape(key)
-        << "\": {\"min\": " << a.min << ", \"max\": " << a.max
-        << ", \"mean\": " << a.mean() << ", \"windows\": " << a.windows
-        << "}";
-    first = false;
-  }
-  out << "\n  }\n}\n";
+  out << "\n  ]\n}\n";
   return out.str();
 }
 

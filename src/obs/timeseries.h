@@ -14,15 +14,12 @@
 //                  which true windowed p50/p90/p99/p99.9 are resolved by
 //                  the one Histogram::State quantile rule
 //
-// Memory is bounded for arbitrarily long runs: a ring of the most recent
-// `window_capacity` WindowSamples plus streaming min/max/sum aggregates
-// per tracked series value (e.g. "check_latency_ns{device=\"fdc\"}.p99")
-// covering the WHOLE run, not just the retained ring.
+// Memory is bounded for arbitrarily long runs: only a ring of the most
+// recent `window_capacity` WindowSamples is kept.
 #pragma once
 
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -89,27 +86,15 @@ struct WindowSample {
       std::string_view name) const;
 };
 
-/// Whole-run streaming aggregate of one tracked per-window value.
-struct SeriesAggregate {
-  double min = 0.0;
-  double max = 0.0;
-  double sum = 0.0;
-  uint64_t windows = 0;
-
-  [[nodiscard]] double mean() const {
-    return windows == 0 ? 0.0 : sum / static_cast<double>(windows);
-  }
-};
-
 class TimeSeries {
  public:
   explicit TimeSeries(const MetricsRegistry* registry,
                       TimeSeriesConfig cfg = {});
 
   /// Freezes the registry at caller-supplied time `now_ns`, deltas it
-  /// against the previous capture, appends the WindowSample to the ring
-  /// (evicting the oldest beyond capacity), and folds per-window values
-  /// into the whole-run aggregates. Returns the freshly closed window.
+  /// against the previous capture, and appends the WindowSample to the
+  /// ring (evicting the oldest beyond capacity). Returns the freshly
+  /// closed window.
   /// Single-threaded by design: one collector thread ticks; shard threads
   /// only touch the registry.
   const WindowSample& sample(uint64_t now_ns);
@@ -121,24 +106,12 @@ class TimeSeries {
   [[nodiscard]] const WindowSample& window(size_t i) const { return ring_[i]; }
   [[nodiscard]] const WindowSample& latest() const { return ring_.back(); }
 
-  /// Whole-run aggregates keyed `name{labels}.<field>` where <field> is
-  /// one of rate/delta (counters), value (gauges), p50/p90/p99/p999/count
-  /// (histograms).
-  [[nodiscard]] const std::map<std::string, SeriesAggregate>& aggregates()
-      const {
-    return aggregates_;
-  }
-  [[nodiscard]] const SeriesAggregate* find_aggregate(
-      std::string_view key) const;
-
-  /// Full export: {"windows":[...], "aggregates":{...}} — each window
-  /// carries timestamps plus its counter/gauge/histogram views (histogram
-  /// buckets are elided; quantiles + count/sum are kept).
+  /// Full export: {"total_windows":N, "windows":[...]} — each retained
+  /// window carries timestamps plus its counter/gauge/histogram views
+  /// (histogram buckets are elided; quantiles + count/sum are kept).
   [[nodiscard]] std::string to_json() const;
 
  private:
-  void fold_aggregates(const WindowSample& w);
-
   const MetricsRegistry* registry_;
   TimeSeriesConfig cfg_;
   bool have_base_ = false;
@@ -149,7 +122,6 @@ class TimeSeries {
   MetricsRegistry::Frozen cur_;
   uint64_t next_index_ = 0;
   std::deque<WindowSample> ring_;
-  std::map<std::string, SeriesAggregate> aggregates_;
 };
 
 }  // namespace sedspec::obs

@@ -200,9 +200,11 @@ void EnforcementService::run_shard(const ShardSpec& spec, uint32_t shard_id,
   auto accumulate = [&] {
     if (dep.active != nullptr) {
       result.stats.merge(dep.active->stats());
+      result.check_latency.merge(dep.active->check_latency());
     }
     if (dep.candidate != nullptr) {
       result.shadow_stats.merge(dep.candidate->stats());
+      result.shadow_check_latency.merge(dep.candidate->check_latency());
       result.shadow_spec_version = dep.candidate->spec_version();
     }
     if (dep.pair != nullptr) {

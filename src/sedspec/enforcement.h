@@ -132,8 +132,12 @@ struct ShardResult {
   uint64_t bus_accesses = 0;
   uint64_t bus_owner_violations = 0;
   checker::CheckerStats stats;  // accumulated across redeploy swaps
+  /// This run's check latencies (EsChecker::check_latency), merged across
+  /// redeploy swaps; empty while timing is off.
+  obs::Histogram::State check_latency;
   /// Shadow-mode candidate accounting (shadow_candidate shards only).
   checker::CheckerStats shadow_stats;
+  obs::Histogram::State shadow_check_latency;
   uint64_t shadow_spec_version = 0;
   /// Rounds where the candidate flagged what the active spec passed — the
   /// would-be-false-positive signal the rollout engine watches.

@@ -15,6 +15,7 @@
 #include <thread>
 
 #include "obs/flight.h"
+#include "obs/metrics.h"
 #include "sedspec/enforcement.h"
 
 namespace sedspec {
@@ -247,6 +248,55 @@ TEST(Concurrency, FlightRingsAreOnePerShard) {
   for (const obs::FlightBundle::Event& e : bundles[0].events) {
     EXPECT_EQ(e.cat, "pcnet");
   }
+}
+
+TEST(Concurrency, ShardLatencyWindowIsItsOwn) {
+  // Shards keep stable metric labels across runs, so their latency series
+  // are cumulative; each ShardResult must still carry only its own run's
+  // samples, merged across a mid-run redeploy and for the shadow
+  // candidate alike.
+  struct TimingOn {
+    TimingOn() { obs::set_timing_enabled(true); }
+    ~TimingOn() { obs::set_timing_enabled(false); }
+  } timing;
+  spec::SpecStore store;
+  spec::SpecStore candidates;
+  enforce::publish_device_specs(store, {"fdc", "pcnet"});
+  candidates.publish(spec::EsCfg(store.current("fdc")->cfg));
+  ServiceConfig config;
+  config.spec_poll_ops = 8;
+  config.candidate_store = &candidates;
+  std::vector<ShardSpec> shards = make_shards(2, 40);
+  shards[0].device = "fdc";
+  shards[0].shadow_candidate = true;
+  shards[1].device = "pcnet";
+  shards[0].op_hook = [&store](uint64_t op) {
+    if (op == 20) {
+      store.publish(spec::EsCfg(store.current("fdc")->cfg));
+    }
+  };
+  const obs::Histogram& series = obs::metrics().histogram(
+      "checker_check_latency_ns",
+      obs::label({{"device", "fdc#0"}, {"strategies", "all"}}));
+  const uint64_t before = series.count();
+
+  uint64_t rounds = 0;
+  for (int run = 0; run < 2; ++run) {
+    SCOPED_TRACE(run);
+    const RunReport report = EnforcementService(&store, config).run(shards);
+    ASSERT_TRUE(report.ok());
+    EXPECT_EQ(report.shards[0].redeploys, 1u);
+    for (const enforce::ShardResult& s : report.shards) {
+      SCOPED_TRACE(s.device);
+      EXPECT_GT(s.stats.rounds, 0u);
+      EXPECT_EQ(s.check_latency.count, s.stats.rounds);
+      EXPECT_EQ(s.shadow_check_latency.count, s.shadow_stats.rounds);
+    }
+    EXPECT_GT(report.shards[0].shadow_stats.rounds, 0u);
+    rounds += report.shards[0].stats.rounds;
+  }
+  // The registry series itself holds both runs.
+  EXPECT_EQ(series.count() - before, rounds);
 }
 
 }  // namespace

@@ -94,6 +94,33 @@ TEST(ControlPlane, GoodCandidatePromotesThroughAllStages) {
   EXPECT_EQ(states, expect);
 }
 
+TEST(ControlPlane, RolloutsRegisterNoNewMetricSeries) {
+  // Shards keep their labels from window to window and rollout to
+  // rollout, so repeated rollouts reuse the registry's series.
+  spec::SpecStore active;
+  const spec::EsCfg base = build_fdc_spec();
+  active.publish(spec::EsCfg(base));
+  ControlPlane cp(&active);
+  auto series_count = [] {
+    obs::MetricsRegistry::Frozen f;
+    obs::metrics().freeze(f);
+    return f.counters.size() + f.gauges.size() + f.histograms.size();
+  };
+  size_t after_first = 0;
+  for (int rollout = 0; rollout < 5; ++rollout) {
+    SCOPED_TRACE(rollout);
+    cp.stage_candidate(spec::EsCfg(base));
+    const auto out = cp.run_rollout("fdc", fdc_fleet(4), quick_rollout());
+    ASSERT_TRUE(out.promoted()) << out.record.reason;
+    ASSERT_EQ(out.windows.size(), 3u);
+    if (rollout == 0) {
+      after_first = series_count();
+    } else {
+      EXPECT_EQ(series_count(), after_first);
+    }
+  }
+}
+
 TEST(ControlPlane, OverTightCandidateRollsBackInShadow) {
   spec::SpecStore active;
   const spec::EsCfg base = build_fdc_spec();

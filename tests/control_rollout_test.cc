@@ -5,6 +5,7 @@
 
 #include "control/rollout.h"
 #include "guest/workload.h"
+#include "obs/metrics.h"
 #include "sedspec/pipeline.h"
 #include "spec/serial.h"
 
@@ -22,8 +23,19 @@ StageObservation clean_window() {
   StageObservation o;
   o.shadow_shards = 2;
   o.shadow_rounds = 64;
-  o.active_rounds = 64;
   return o;
+}
+
+/// A latency window holding `count` samples of `value` ns per entry.
+obs::Histogram::State latency(
+    std::initializer_list<std::pair<uint64_t, uint64_t>> value_counts) {
+  obs::Histogram h;
+  for (const auto& [value, count] : value_counts) {
+    for (uint64_t i = 0; i < count; ++i) {
+      h.record(value);
+    }
+  }
+  return h.state();
 }
 
 TEST(EvaluateStage, CleanWindowPromotes) {
@@ -83,18 +95,29 @@ TEST(EvaluateStage, LatencyRatioTripsAndSamplingOffSkips) {
   RolloutThresholds t;
   t.max_latency_ratio = 2.0;
 
+  // Only the mean trips: two 100 us outliers in 200 rounds put the
+  // candidate's mean at ~11x the active one, but its p99 stays at 127 ns.
   StageObservation o = clean_window();
-  o.active_check_ns = 64 * 100;  // 100 ns/round
-  o.candidate_check_ns = 64 * 500;  // 5x the active cost
-  EXPECT_EQ(evaluate_stage(t, o).verdict, StageVerdict::kRollback);
+  o.active_latency = latency({{100, 200}});
+  o.candidate_latency = latency({{100, 198}, {100'000, 2}});
+  ASSERT_LE(o.candidate_latency.quantile(0.99),
+            2 * o.active_latency.quantile(0.99));
+  auto d = evaluate_stage(t, o);
+  EXPECT_EQ(d.verdict, StageVerdict::kRollback);
+  EXPECT_NE(d.reason.find("ns/round"), std::string::npos) << d.reason;
 
+  // Only the p99 trips: the candidate is cheaper on average, but its tail
+  // is 4.5x the active one's.
   o = clean_window();
-  o.active_latency_p99_ns = 200;
-  o.candidate_latency_p99_ns = 900;
-  EXPECT_EQ(evaluate_stage(t, o).verdict, StageVerdict::kRollback);
+  o.active_latency = latency({{200, 200}});
+  o.candidate_latency = latency({{50, 190}, {900, 10}});
+  ASSERT_LT(o.candidate_latency.sum, o.active_latency.sum);
+  d = evaluate_stage(t, o);
+  EXPECT_EQ(d.verdict, StageVerdict::kRollback);
+  EXPECT_NE(d.reason.find("p99 900"), std::string::npos) << d.reason;
 
-  // Timing sampling off: all latency denominators 0 — no verdict from the
-  // ratio checks.
+  // Timing sampling off: both windows empty — no verdict from the ratio
+  // checks.
   EXPECT_EQ(evaluate_stage(t, clean_window()).verdict,
             StageVerdict::kPromote);
 }

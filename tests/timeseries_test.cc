@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
@@ -110,7 +111,7 @@ TEST(ObsTimeSeries, WindowedHistogramQuantilesIgnoreOldWindows) {
   EXPECT_GE(lat.p99(), 60'000u);
 }
 
-TEST(ObsTimeSeries, RingEvictsButAggregatesCoverWholeRun) {
+TEST(ObsTimeSeries, RingEvictsOldestWindows) {
   obs::MetricsRegistry reg;
   obs::Counter& ops = reg.counter("ops_total");
   obs::TimeSeriesConfig cfg;
@@ -125,15 +126,6 @@ TEST(ObsTimeSeries, RingEvictsButAggregatesCoverWholeRun) {
   EXPECT_EQ(ts.size(), 4u);          // ring bounded
   EXPECT_EQ(ts.window(0).index, 6u); // oldest retained
   EXPECT_EQ(ts.latest().index, 9u);
-
-  // Aggregates fold every window ever closed, not just the retained ring.
-  const obs::SeriesAggregate* agg = ts.find_aggregate("ops_total{}.delta");
-  ASSERT_NE(agg, nullptr);
-  EXPECT_EQ(agg->windows, 10u);
-  EXPECT_EQ(agg->min, 0.0);
-  EXPECT_EQ(agg->max, 9.0);
-  EXPECT_DOUBLE_EQ(agg->sum, 45.0);
-  EXPECT_DOUBLE_EQ(agg->mean(), 4.5);
 }
 
 TEST(ObsTimeSeries, MergedHistogramSpansShardLabels) {
@@ -169,10 +161,6 @@ TEST(ObsTimeSeries, ExportParsesBack) {
   ASSERT_NE(counters, nullptr);
   ASSERT_EQ(counters->array.size(), 1u);
   EXPECT_EQ(counters->array[0].find("name")->str, "ops_total");
-  const obs::JsonValue* aggs = doc.find("aggregates");
-  ASSERT_NE(aggs, nullptr);
-  EXPECT_TRUE(aggs->is_object());
-  EXPECT_NE(aggs->find("lat{}.p99"), nullptr);
 }
 
 // SLO engine ----------------------------------------------------------------
@@ -498,9 +486,11 @@ TEST(ObsFlight, UntimedRoundEventsRenderInBundles) {
 TEST(ObsFlight, DumpAndRenderWhileShardsRecord) {
   // Shard threads record into their rings and register metric series
   // while this thread dumps (copying rings, freezing the registry) and
-  // renders bundles (reading frozen keys outside the registry lock). The
-  // TSan lane runs this; in other builds it checks the bundles parse.
-  // Each ring has one writer, so its recorded() count is exact.
+  // renders bundles (reading frozen keys outside the registry lock) for a
+  // fixed wall time, so the dumps overlap the writers throughout. The TSan
+  // lane runs this; in other builds it checks the bundles parse. Each ring
+  // has one writer, so its recorded() count is exact, and a dump that
+  // wrote a ring's head would lose records the writer counted.
   obs::FlightConfig cfg;
   cfg.shard_ring_capacity = 64;
   cfg.max_bundles = 4;
@@ -529,12 +519,21 @@ TEST(ObsFlight, DumpAndRenderWhileShardsRecord) {
          flight.shard_ring(1).recorded() < 64) {
     std::this_thread::yield();
   }
-  for (uint64_t epoch = 0; epoch < 200; ++epoch) {
-    flight.set_epoch(epoch);
-    ASSERT_TRUE(flight.dump(obs::FlightTrigger::kViolation, epoch % 2, "r"));
-    if (epoch % 20 == 0) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(150);
+  uint64_t dumps = 0;
+  while (std::chrono::steady_clock::now() < deadline) {
+    flight.set_epoch(dumps);  // a new epoch per dump: none is deduped
+    const bool dumped =
+        flight.dump(obs::FlightTrigger::kViolation, dumps % 2, "r");
+    EXPECT_TRUE(dumped);
+    if (!dumped) {
+      break;
+    }
+    if (dumps % 20 == 0) {
       EXPECT_TRUE(obs::json_parse(flight.to_json()).is_object());
     }
+    ++dumps;
   }
   stop.store(true);
   for (std::thread& t : shards) {
@@ -542,9 +541,11 @@ TEST(ObsFlight, DumpAndRenderWhileShardsRecord) {
   }
   EXPECT_EQ(flight.shard_ring(0).recorded(), written[0]);
   EXPECT_EQ(flight.shard_ring(1).recorded(), written[1]);
+  EXPECT_EQ(flight.dumps(), dumps);
+  ASSERT_GE(dumps, cfg.max_bundles);
   const std::vector<obs::FlightBundle> bundles = flight.bundles();
-  ASSERT_EQ(bundles.size(), 4u);
-  EXPECT_EQ(bundles.back().sequence, 199u);
+  ASSERT_EQ(bundles.size(), cfg.max_bundles);
+  EXPECT_EQ(bundles.back().sequence, dumps - 1);
   for (const obs::FlightBundle& b : bundles) {
     EXPECT_EQ(b.events.size(), 64u);
     EXPECT_TRUE(obs::json_parse(b.metrics_json).is_object());
