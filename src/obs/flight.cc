@@ -76,7 +76,7 @@ bool FlightRecorder::dump(FlightTrigger trigger, size_t shard,
   // one capacity), so later dumps into it never grow it. Done here rather
   // than up front so a recorder that never dumps costs no bundle memory.
   slot.events.reserve(rings_[shard]->capacity());
-  rings_[shard]->snapshot_into(slot.events);
+  rings_[shard]->copy_packed(slot.events);
   metrics().freeze(slot.metrics);
   if (context_provider_) {
     slot.context_json = context_provider_();

@@ -26,12 +26,19 @@
 // Violation, quarantine, self-heal and every other event stay timed.
 // dump() runs wherever reports are drained (the service's
 // consumer thread, or the guest thread of a single-VM harness), often on
-// a warning round a guest keeps running through, so it freezes raw values
-// only: it copies the ring's five-word slots and a values-only
-// MetricsRegistry::freeze() into one of max_bundles reusable slots
-// (used as a ring, oldest overwritten). Copying a full 256-event ring
-// takes about 0.6 µs, and a whole dump about 1–2 µs on a registry of ~100
-// series (single-thread probe, 4-vCPU x86 VM). A warm dump allocates nothing
+// a warning round a guest keeps running through, so it copies raw values
+// into storage it reuses: EventTracer::copy_packed() copies the ring's
+// five-word slots word for word (40 B per event, ids still packed, no
+// decoding) and an in-place MetricsRegistry::freeze() overwrites the
+// slot's Frozen by index (an empty histogram that was empty in the reused
+// entry writes none of its buckets), both into one of max_bundles
+// reusable slots (used as a ring, oldest overwritten). In situ, on the
+// guest thread of an untraced hostile_mix run (4-vCPU x86 VM, 256-event
+// ring, 10 series), a dump takes about 3.6 µs: the ring copy about 2.0 µs
+// and the freeze about 0.8 µs. Repeated at once on the now-warm cache the
+// same copies take 0.7 and 0.2 µs, so most of a dump is cache misses: on
+// the ring, on the registry's series, and on the bundle slot, which comes
+// round again only every max_bundles dumps. A warm dump allocates nothing
 // unless a context provider is set or metric series were registered since
 // the slot was last used. Frozen metrics point at the registry's map keys,
 // which is sound because the registry never erases a series; frozen
@@ -146,7 +153,7 @@ class FlightRecorder {
     size_t shard = 0;
     uint64_t epoch = 0;
     std::string reason;
-    std::vector<TraceEvent> events;
+    std::vector<PackedEvent> events;
     MetricsRegistry::Frozen metrics;
     std::string context_json;
   };

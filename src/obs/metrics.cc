@@ -1,5 +1,6 @@
 #include "obs/metrics.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <sstream>
@@ -43,21 +44,29 @@ void Histogram::record(uint64_t v) {
   }
 }
 
-Histogram::State Histogram::state() const {
-  State s;
-  s.count = count();
-  s.sum = sum();
-  s.max = max();
+void Histogram::capture(State& out) const {
+  const uint64_t n = count();
   // A histogram that never recorded has only zero buckets. Most registered
   // series are empty (latency histograms stay so while timing is off), and
   // skipping their bucket cache lines keeps a flight dump's freeze() as
-  // cheap as one load of count/sum/max per series.
-  if (s.count == 0) {
-    return s;
+  // cheap as one load of count/sum/max per series. `out` keeps the State
+  // invariant (count 0 => zero buckets), so an entry that was empty and
+  // still is needs no bucket write either.
+  if (n != 0) {
+    for (size_t i = 0; i < kBuckets; ++i) {
+      out.buckets[i] = bucket_count(i);
+    }
+  } else if (out.count != 0) {
+    std::fill(std::begin(out.buckets), std::end(out.buckets), 0);
   }
-  for (size_t i = 0; i < kBuckets; ++i) {
-    s.buckets[i] = bucket_count(i);
-  }
+  out.count = n;
+  out.sum = sum();
+  out.max = max();
+}
+
+Histogram::State Histogram::state() const {
+  State s;
+  capture(s);
   return s;
 }
 
@@ -309,18 +318,25 @@ std::string MetricsRegistry::to_prometheus() const {
 }
 
 void MetricsRegistry::freeze(Frozen& out) const {
-  out.counters.clear();
-  out.gauges.clear();
-  out.histograms.clear();
   std::lock_guard lock(mu_);
+  // Overwritten by index, never cleared: a reused entry's State keeps its
+  // buckets for capture() to skip when the series is empty.
+  out.counters.resize(counters_.size());
+  size_t i = 0;
   for (const auto& [key, c] : counters_) {
-    out.counters.push_back({&key, c->value()});
+    out.counters[i++] = {&key, c->value()};
   }
+  out.gauges.resize(gauges_.size());
+  i = 0;
   for (const auto& [key, g] : gauges_) {
-    out.gauges.push_back({&key, g->value()});
+    out.gauges[i++] = {&key, g->value()};
   }
+  out.histograms.resize(histograms_.size());
+  i = 0;
   for (const auto& [key, h] : histograms_) {
-    out.histograms.push_back({&key, h->state()});
+    Frozen::HistogramValue& v = out.histograms[i++];
+    v.key = &key;
+    h->capture(v.state);
   }
 }
 

@@ -113,6 +113,12 @@ class Histogram {
   /// A histogram as a value: the one form every reader works on
   /// (exporters, flight bundles, time-series windows, SLOs), so the bucket
   /// layout is known only here and in metrics.cc.
+  ///
+  /// Invariant: a State with count == 0 has all-zero buckets. Every
+  /// producer keeps it (capture() and state() read buckets only for a
+  /// nonzero count, delta_since() sums count from the bucket deltas, and
+  /// merge() of two such States keeps it), and capture() relies on it to
+  /// leave an empty entry's buckets unwritten.
   struct State {
     uint64_t buckets[kBuckets] = {};
     uint64_t count = 0;
@@ -137,6 +143,10 @@ class Histogram {
     void merge(const State& other);
   };
   [[nodiscard]] State state() const;
+  /// state() written into `out` in place: `out`'s old values are
+  /// overwritten, and when both this histogram and `out` are empty its 65
+  /// bucket words are left as they are (the State invariant above).
+  void capture(State& out) const;
 
  private:
   std::atomic<uint64_t> buckets_[kBuckets] = {};
@@ -212,8 +222,11 @@ class MetricsRegistry {
     /// The JSON document to_json() below describes.
     [[nodiscard]] std::string to_json() const;
   };
-  /// Overwrites `out`, reusing its storage: refreezing into the same
-  /// Frozen allocates only when series were registered since.
+  /// Overwrites `out` in place: each family is resized once and assigned
+  /// by index, and each histogram entry is refreshed by
+  /// Histogram::capture(), so an empty series that was empty in the reused
+  /// entry costs a count/sum/max load and no bucket write. Refreezing into
+  /// the same Frozen allocates only when series were registered since.
   void freeze(Frozen& out) const;
 
   /// Prometheus text exposition: `sedspec_<name>{labels} value` lines with

@@ -107,6 +107,7 @@ void EventTracer::record(EventType type, EventKey k, uint64_t ts_ns,
   slot.dur_ns.store(dur_ns, std::memory_order_relaxed);
   slot.a.store(a, std::memory_order_relaxed);
   slot.b.store(b, std::memory_order_relaxed);
+  constexpr unsigned kIdBits = PackedEvent::kIdBits;
   slot.ids.store(uint64_t{k.name} | uint64_t{k.cat} << kIdBits |
                      uint64_t{k.detail} << (2 * kIdBits) |
                      uint64_t{static_cast<uint8_t>(type)} << (3 * kIdBits),
@@ -142,38 +143,53 @@ uint64_t EventTracer::dropped() const {
   return n > capacity_ ? n - capacity_ : 0;
 }
 
-std::vector<TraceEvent> EventTracer::snapshot() const {
-  std::vector<TraceEvent> out;
-  snapshot_into(out);
-  return out;
+TraceEvent PackedEvent::unpack() const {
+  constexpr uint64_t kIdMask = (uint64_t{1} << kIdBits) - 1;
+  TraceEvent ev;
+  ev.ts_ns = ts_ns;
+  ev.dur_ns = dur_ns;
+  ev.a = a;
+  ev.b = b;
+  ev.name = static_cast<uint32_t>(ids & kIdMask);
+  ev.cat = static_cast<uint32_t>(ids >> kIdBits & kIdMask);
+  ev.detail = static_cast<uint32_t>(ids >> (2 * kIdBits) & kIdMask);
+  ev.type = static_cast<EventType>(ids >> (3 * kIdBits));
+  return ev;
 }
 
-void EventTracer::snapshot_into(std::vector<TraceEvent>& out) const {
+void EventTracer::copy_packed(std::vector<PackedEvent>& out) const {
   const uint64_t head = recorded();
   const uint64_t count = std::min<uint64_t>(head, capacity_);
-  constexpr uint64_t kIdMask = (uint64_t{1} << kIdBits) - 1;
   out.resize(count);
   for (uint64_t i = 0; i < count; ++i) {
     const AtomicSlot& slot = ring_[(head - count + i) & mask_];
-    TraceEvent& ev = out[i];
+    PackedEvent& ev = out[i];
     ev.ts_ns = slot.ts_ns.load(std::memory_order_relaxed);
     ev.dur_ns = slot.dur_ns.load(std::memory_order_relaxed);
     ev.a = slot.a.load(std::memory_order_relaxed);
     ev.b = slot.b.load(std::memory_order_relaxed);
-    const uint64_t ids = slot.ids.load(std::memory_order_relaxed);
-    ev.name = static_cast<uint32_t>(ids & kIdMask);
-    ev.cat = static_cast<uint32_t>(ids >> kIdBits & kIdMask);
-    ev.detail = static_cast<uint32_t>(ids >> (2 * kIdBits) & kIdMask);
-    ev.type = static_cast<EventType>(ids >> (3 * kIdBits));
+    ev.ids = slot.ids.load(std::memory_order_relaxed);
   }
 }
 
+std::vector<TraceEvent> EventTracer::snapshot() const {
+  std::vector<PackedEvent> packed;
+  copy_packed(packed);
+  std::vector<TraceEvent> out;
+  out.reserve(packed.size());
+  for (const PackedEvent& p : packed) {
+    out.push_back(p.unpack());
+  }
+  return out;
+}
+
 std::vector<EventTracer::Resolved> EventTracer::resolve(
-    std::span<const TraceEvent> events) const {
+    std::span<const PackedEvent> events) const {
   std::vector<Resolved> out;
   out.reserve(events.size());
   std::lock_guard lock(intern_mu_);
-  for (const TraceEvent& ev : events) {
+  for (const PackedEvent& p : events) {
+    const TraceEvent ev = p.unpack();
     SEDSPEC_REQUIRE(ev.name < strings_.size() && ev.cat < strings_.size() &&
                     ev.detail < strings_.size());
     out.push_back({ev, strings_[ev.name], strings_[ev.cat],
@@ -183,7 +199,9 @@ std::vector<EventTracer::Resolved> EventTracer::resolve(
 }
 
 std::vector<EventTracer::Resolved> EventTracer::snapshot_resolved() const {
-  return resolve(snapshot());
+  std::vector<PackedEvent> packed;
+  copy_packed(packed);
+  return resolve(packed);
 }
 
 void EventTracer::clear() { head_.store(0, std::memory_order_relaxed); }

@@ -27,10 +27,12 @@
 // lock they already take), so any number of threads may use them on one
 // tracer (the global tracer's phases, violations, SLO breaches and fault
 // outcomes); a ring takes keyed records or string records from several
-// threads, never both at once. Every ring-slot word is a relaxed atomic, so
-// a snapshot() concurrent with its writer is data-race-free; an entry
-// being overwritten at snapshot time may mix fields from two events
-// (word-level last-writer-wins) — acceptable for a lossy trace ring.
+// threads, never both at once. The ring is read in one place,
+// copy_packed(), which every reader (snapshot(), to_chrome_json(), flight
+// dumps) goes through. Every ring-slot word is a relaxed atomic, so a copy
+// concurrent with its writer is data-race-free; an entry being overwritten
+// at copy time may mix fields from two events (word-level
+// last-writer-wins) — acceptable for a lossy trace ring.
 // Counts (recorded/dropped) are exact. The intern table is mutex-guarded;
 // ids (and so EventKeys) are stable for the tracer's lifetime.
 //
@@ -79,6 +81,24 @@ struct TraceEvent {
   uint32_t detail = 0;  // interned: strategy label, direction, outcome, ...
   EventType type = EventType::kIoAccess;
 };
+
+/// One ring slot as plain words, in the ring's own layout: 40 B per event
+/// where a TraceEvent takes 48 B, and the string ids and type stay packed
+/// in one word. copy_packed() fills these without decoding anything;
+/// unpack() turns one into a TraceEvent when it is read.
+struct PackedEvent {
+  /// Bits per packed id field: name | cat << 16 | detail << 32 | type << 48.
+  static constexpr unsigned kIdBits = 16;
+
+  uint64_t ts_ns = 0;
+  uint64_t dur_ns = 0;
+  uint64_t a = 0;
+  uint64_t b = 0;
+  uint64_t ids = 0;
+
+  [[nodiscard]] TraceEvent unpack() const;
+};
+static_assert(sizeof(PackedEvent) == 40, "a packed event is the ring slot");
 
 /// The interned strings of one recurring event shape, resolved once by
 /// EventTracer::key() and valid only for the tracer that issued them.
@@ -130,11 +150,12 @@ class EventTracer {
     std::string cat;
     std::string detail;
   };
-  /// Resolves `events` (recorded by this tracer, possibly long ago: ids
-  /// are stable) under one intern-lock acquisition.
+  /// Unpacks and resolves `events` (copied from this tracer's ring,
+  /// possibly long ago: ids are stable) under one intern-lock acquisition.
   [[nodiscard]] std::vector<Resolved> resolve(
-      std::span<const TraceEvent> events) const;
-  /// resolve(snapshot()): the retained events oldest-first, resolved.
+      std::span<const PackedEvent> events) const;
+  /// resolve() of a copy_packed(): the retained events oldest-first,
+  /// resolved.
   [[nodiscard]] std::vector<Resolved> snapshot_resolved() const;
 
   /// Pipeline-phase markers (Chrome 'B'/'E'; Perfetto renders the span).
@@ -151,14 +172,16 @@ class EventTracer {
   /// Events lost to wraparound (oldest-first overwrite).
   [[nodiscard]] uint64_t dropped() const;
 
-  /// Copies the retained events oldest-first. Safe against concurrent
-  /// recording (no data race), but boundary entries being overwritten at
-  /// snapshot time may carry mixed fields; prefer quiescent reads for
-  /// exact exports.
+  /// The one ring read: copies the retained slots oldest-first, word for
+  /// word with relaxed loads, into `out`, resized once and written in
+  /// place. It decodes nothing and allocates nothing once `out` has
+  /// capacity() reserved, so a flight dump pays five loads and five stores
+  /// per event. Safe against concurrent recording (no data race), but
+  /// boundary entries being overwritten at copy time may carry mixed
+  /// fields; prefer quiescent reads for exact exports.
+  void copy_packed(std::vector<PackedEvent>& out) const;
+  /// copy_packed(), unpacked: the retained events oldest-first.
   [[nodiscard]] std::vector<TraceEvent> snapshot() const;
-  /// snapshot() into `out`, resized once and written in place: no
-  /// allocation once `out` has capacity() reserved (flight dumps).
-  void snapshot_into(std::vector<TraceEvent>& out) const;
 
   /// Chrome trace-event JSON: {"traceEvents":[...]} with ts/dur in
   /// microseconds, phase 'B'/'E' for pipeline phases, 'X' for events
@@ -173,12 +196,10 @@ class EventTracer {
   static constexpr size_t kMaxStrings = 4096;
 
  private:
-  /// One ring slot: five relaxed atomic words. The three string ids and
-  /// the event type share one word (kIdBits each), so writing or copying
-  /// a slot is five plain moves on x86/arm64, and a writer and a
-  /// concurrent snapshot() never constitute a data race.
-  static constexpr unsigned kIdBits = 16;
-  static_assert(kMaxStrings < (size_t{1} << kIdBits),
+  /// One ring slot: PackedEvent's five words as relaxed atomics, so
+  /// writing or copying a slot is five plain moves on x86/arm64, and a
+  /// writer and a concurrent copy_packed() never constitute a data race.
+  static_assert(kMaxStrings < (size_t{1} << PackedEvent::kIdBits),
                 "every interned id, the overflow sentinel included, must "
                 "fit a packed slot field");
   struct AtomicSlot {
@@ -186,8 +207,7 @@ class EventTracer {
     std::atomic<uint64_t> dur_ns{0};
     std::atomic<uint64_t> a{0};
     std::atomic<uint64_t> b{0};
-    /// name | cat << 16 | detail << 32 | type << 48.
-    std::atomic<uint64_t> ids{0};
+    std::atomic<uint64_t> ids{0};  // PackedEvent::ids
   };
 
   /// Transparent hash: intern() looks a string_view up without building a

@@ -111,6 +111,13 @@ checker::CheckerConfig shadow_config(checker::CheckerConfig base) {
   return base;
 }
 
+/// Runs `f` when the scope ends, normally or by an exception.
+template <typename F>
+struct ScopeExit {
+  F f;
+  ~ScopeExit() { f(); }
+};
+
 }  // namespace
 
 void EnforcementService::run_shard(const ShardSpec& spec, uint32_t shard_id,
@@ -195,8 +202,8 @@ void EnforcementService::run_shard(const ShardSpec& spec, uint32_t shard_id,
   };
   Deployment dep;
 
-  // Folds the outgoing deployment's counters into the result. Called
-  // before every swap and once at the end.
+  // Folds the outgoing deployment's counters into the result. Called at
+  // every swap, once at the end, and on unwind (fold_on_exit below).
   auto accumulate = [&] {
     if (dep.active != nullptr) {
       result.stats.merge(dep.active->stats());
@@ -225,7 +232,6 @@ void EnforcementService::run_shard(const ShardSpec& spec, uint32_t shard_id,
   // effective config always reflects the latest policy write.
   auto deploy = [&](spec::SnapshotRef active_snap,
                     spec::SnapshotRef cand_snap) {
-    accumulate();
     checker::CheckerConfig ccfg = spec.checker;
     if (ccfg.metrics_label.empty()) {
       ccfg.metrics_label = spec.device + "#" + std::to_string(shard_id);
@@ -247,6 +253,11 @@ void EnforcementService::run_shard(const ShardSpec& spec, uint32_t shard_id,
           std::move(cand_snap), &workload->device(), shadow_config(ccfg));
       next.pair = std::make_unique<ShadowPair>(next.active.get(),
                                                next.candidate.get());
+    }
+    // Folded only once the new checkers exist: if building them throws,
+    // `dep` is still live and unfolded, and fold_on_exit counts it once.
+    accumulate();
+    if (next.pair != nullptr) {
       bus.set_proxy(next.pair.get());
     } else {
       bus.set_proxy(next.active.get());
@@ -273,6 +284,17 @@ void EnforcementService::run_shard(const ShardSpec& spec, uint32_t shard_id,
     workload->device().set_internal_activity_hook({});
     dep = {};
   };
+
+  // A shard thread that throws (an op_hook crash, a failing deploy) skips
+  // the final undeploy(); this still folds the live deployment and the bus
+  // totals into the result, so RunReport::fleet counts a crashed shard's
+  // rounds. After a normal undeploy() `dep` is empty and only the bus
+  // totals are taken here.
+  const ScopeExit fold_on_exit{[&] {
+    accumulate();
+    result.bus_accesses = bus.access_count();
+    result.bus_owner_violations = bus.owner_violations();
+  }};
 
   bool protecting = should_protect();
   if (protecting) {
@@ -354,8 +376,6 @@ void EnforcementService::run_shard(const ShardSpec& spec, uint32_t shard_id,
     result.final_spec_version = dep.active->spec_version();
   }
   undeploy();
-  result.bus_accesses = bus.access_count();
-  result.bus_owner_violations = bus.owner_violations();
 }
 
 RunReport EnforcementService::run(const std::vector<ShardSpec>& shards) {

@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <stdexcept>
 #include <thread>
 
 #include "obs/flight.h"
@@ -137,6 +138,34 @@ TEST(Concurrency, ShardFailureIsCapturedNotThrown) {
   EXPECT_FALSE(report.ok());
   EXPECT_FALSE(report.shards[0].error.empty());
   EXPECT_EQ(report.shards[0].ops, 0u);
+}
+
+// A shard whose thread throws mid-run skips its final undeploy(); the
+// counters of its live deployment must still reach the result, so the
+// fleet aggregate counts the rounds it checked before the crash.
+TEST(Concurrency, CrashedShardKeepsItsCounters) {
+  struct TimingOn {
+    TimingOn() { obs::set_timing_enabled(true); }
+    ~TimingOn() { obs::set_timing_enabled(false); }
+  } timing;
+  spec::SpecStore store;
+  enforce::publish_device_specs(store, {"fdc"});
+  std::vector<ShardSpec> shards = make_shards(1, 100);
+  shards[0].device = "fdc";
+  shards[0].op_hook = [](uint64_t op) {
+    if (op == 50) {
+      throw std::runtime_error("shard crashed at op 50");
+    }
+  };
+  const RunReport report = EnforcementService(&store).run(shards);
+  ASSERT_EQ(report.shards.size(), 1u);
+  const enforce::ShardResult& s = report.shards[0];
+  EXPECT_EQ(s.error, "shard crashed at op 50");
+  EXPECT_EQ(s.ops, 50u);
+  EXPECT_GT(s.stats.rounds, 0u);
+  EXPECT_GT(s.bus_accesses, 0u);
+  EXPECT_EQ(s.check_latency.count, s.stats.rounds);
+  EXPECT_EQ(report.fleet.rounds, s.stats.rounds);
 }
 
 // Violating traffic on one shard is attributed to that shard: a mixed run

@@ -4,6 +4,7 @@
 // the right strategy label).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <stdexcept>
 #include <string>
@@ -14,6 +15,7 @@
 #include "devices/fdc.h"
 #include "guest/fdc_driver.h"
 #include "guest/workload.h"
+#include "obs/flight.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -203,11 +205,11 @@ TEST(ObsTracer, KeyedRecordRacesInternWithoutDataRace) {
 }
 
 // A ring slot packs the three string ids and the event type into one
-// word. Every id at the table's limits (the empty string, the last
-// ordinary id, the overflow sentinel), every EventType and full 64-bit
-// numeric fields must come back from snapshot() field for field.
-TEST(ObsTracer, PackedSlotRoundTripsIdLimitsTypesAndWideFields) {
-  obs::EventTracer tracer(16);
+// word. Records one event of every EventType into `tracer`, rotating the
+// ids at the intern table's limits (the empty string, the last ordinary
+// id, the overflow sentinel) through name, cat and detail, with full
+// 64-bit numeric fields; returns what was recorded, oldest-first.
+std::vector<obs::TraceEvent> record_limit_events(obs::EventTracer& tracer) {
   EXPECT_EQ(tracer.intern(""), 0u);
   uint32_t last = 0;
   for (size_t i = 1; i < obs::EventTracer::kMaxStrings; ++i) {
@@ -229,7 +231,6 @@ TEST(ObsTracer, PackedSlotRoundTripsIdLimitsTypesAndWideFields) {
   for (size_t i = 0; i < types.size(); ++i) {
     obs::TraceEvent ev;
     ev.type = types[i];
-    // Rotate the three limit ids through name, cat and detail.
     ev.name = ids[i % 3];
     ev.cat = ids[(i + 1) % 3];
     ev.detail = ids[(i + 2) % 3];
@@ -241,6 +242,15 @@ TEST(ObsTracer, PackedSlotRoundTripsIdLimitsTypesAndWideFields) {
                   ev.ts_ns, ev.a, ev.b, ev.dur_ns);
     want.push_back(ev);
   }
+  return want;
+}
+
+// Every id at the table's limits, every EventType and full 64-bit numeric
+// fields must come back from snapshot() (the packed copy, unpacked) field
+// for field.
+TEST(ObsTracer, PackedSlotRoundTripsIdLimitsTypesAndWideFields) {
+  obs::EventTracer tracer(16);
+  const std::vector<obs::TraceEvent> want = record_limit_events(tracer);
 
   const std::vector<obs::TraceEvent> got = tracer.snapshot();
   ASSERT_EQ(got.size(), want.size());
@@ -254,6 +264,124 @@ TEST(ObsTracer, PackedSlotRoundTripsIdLimitsTypesAndWideFields) {
     EXPECT_EQ(got[i].dur_ns, want[i].dur_ns);
     EXPECT_EQ(got[i].a, want[i].a);
     EXPECT_EQ(got[i].b, want[i].b);
+  }
+}
+
+// The same events through a flight dump: dump() keeps the ring's packed
+// slots and bundles() unpacks and resolves them on read. Each bundle event
+// must equal snapshot() of the ring taken at dump time, and carry the
+// recorded values. A bundle has no duration field (its JSON never had
+// one); the packed copy's dur_ns is checked through snapshot() above.
+TEST(ObsFlight, PackedDumpRoundTripsIdLimitsTypesAndWideFields) {
+  obs::FlightConfig cfg;
+  cfg.shard_ring_capacity = 16;
+  obs::FlightRecorder flight(1, cfg);
+  obs::EventTracer& ring = flight.shard_ring(0);
+  const std::vector<obs::TraceEvent> want = record_limit_events(ring);
+  const std::vector<obs::EventTracer::Resolved> at_dump =
+      ring.snapshot_resolved();
+  ASSERT_TRUE(flight.dump(obs::FlightTrigger::kManual, 0, "limits"));
+  // Overwrite the whole ring: the bundle must not see it.
+  const obs::EventKey late = ring.key("late", "late");
+  for (uint64_t i = 0; i < 2 * ring.capacity(); ++i) {
+    ring.record(obs::EventType::kIoAccess, late, i, i, i);
+  }
+
+  const std::vector<obs::FlightBundle> bundles = flight.bundles();
+  ASSERT_EQ(bundles.size(), 1u);
+  const std::vector<obs::FlightBundle::Event>& got = bundles[0].events;
+  ASSERT_EQ(got.size(), want.size());
+  ASSERT_EQ(at_dump.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    SCOPED_TRACE(i);
+    const obs::EventTracer::Resolved& r = at_dump[i];
+    EXPECT_EQ(got[i].type, obs::event_type_name(r.ev.type));
+    EXPECT_EQ(got[i].name, r.name);
+    EXPECT_EQ(got[i].cat, r.cat);
+    EXPECT_EQ(got[i].detail, r.detail);
+    EXPECT_EQ(got[i].ts_ns, r.ev.ts_ns);
+    EXPECT_EQ(got[i].a, r.ev.a);
+    EXPECT_EQ(got[i].b, r.ev.b);
+
+    EXPECT_EQ(got[i].type, obs::event_type_name(want[i].type));
+    EXPECT_EQ(got[i].name, ring.string_at(want[i].name));
+    EXPECT_EQ(got[i].cat, ring.string_at(want[i].cat));
+    EXPECT_EQ(got[i].detail, ring.string_at(want[i].detail));
+    EXPECT_EQ(got[i].ts_ns, want[i].ts_ns);
+    EXPECT_EQ(got[i].a, want[i].a);
+    EXPECT_EQ(got[i].b, want[i].b);
+  }
+}
+
+// A reused Frozen is overwritten in place (resized, assigned by index,
+// bucket writes skipped for entries empty before and after). Through
+// every case that moves entries around, it must render exactly what a
+// fresh freeze renders, and keep the State invariant (count 0 => zero
+// buckets) that the skip relies on.
+TEST(ObsMetrics, RefreezeInPlaceMatchesFreshFreeze) {
+  obs::MetricsRegistry reg;
+  obs::MetricsRegistry::Frozen reused;
+  auto expect_matches_fresh = [&reused](const obs::MetricsRegistry& r) {
+    r.freeze(reused);
+    obs::MetricsRegistry::Frozen fresh;
+    r.freeze(fresh);
+    EXPECT_EQ(reused.to_json(), fresh.to_json());
+    ASSERT_EQ(reused.histograms.size(), fresh.histograms.size());
+    for (size_t i = 0; i < fresh.histograms.size(); ++i) {
+      SCOPED_TRACE(*fresh.histograms[i].key);
+      const obs::Histogram::State& got = reused.histograms[i].state;
+      const obs::Histogram::State& want = fresh.histograms[i].state;
+      EXPECT_EQ(reused.histograms[i].key, fresh.histograms[i].key);
+      EXPECT_TRUE(std::ranges::equal(got.buckets, want.buckets));
+      EXPECT_EQ(got.count, want.count);
+      if (got.count == 0) {
+        EXPECT_TRUE(std::ranges::all_of(got.buckets,
+                                        [](uint64_t b) { return b == 0; }));
+      }
+    }
+  };
+
+  reg.counter("m_b").inc(2);
+  reg.counter("m_c").inc(3);
+  reg.gauge("g_b").set(-4);
+  reg.histogram("h_c").record(700);  // nonempty
+  reg.histogram("h_d");              // empty
+  {
+    SCOPED_TRACE("first freeze");
+    expect_matches_fresh(reg);
+  }
+
+  // New series sorting before every existing key: each family shifts by
+  // one, so the empty newcomer h_a lands on the entry that held h_c's
+  // buckets, and h_c on the one that held empty h_d.
+  reg.counter("m_a").inc(1);
+  reg.gauge("g_a").set(9);
+  reg.histogram("h_a");
+  {
+    SCOPED_TRACE("series inserted before existing keys");
+    expect_matches_fresh(reg);
+  }
+
+  // Empty to nonempty, on an entry that was empty when reused.
+  reg.histogram("h_d").record(3);
+  reg.histogram("h_d").record(1u << 20);
+  {
+    SCOPED_TRACE("histogram turned nonempty");
+    expect_matches_fresh(reg);
+  }
+
+  // A second registry with fewer series, nonempty where `reg` was empty
+  // and empty where it was not.
+  obs::MetricsRegistry smaller;
+  smaller.counter("m_z").inc(7);
+  smaller.histogram("h_a").record(5);
+  smaller.histogram("h_b");
+  {
+    SCOPED_TRACE("second, smaller registry");
+    expect_matches_fresh(smaller);
+    EXPECT_EQ(reused.counters.size(), 1u);
+    EXPECT_TRUE(reused.gauges.empty());
+    EXPECT_EQ(reused.histograms.size(), 2u);
   }
 }
 
