@@ -515,6 +515,45 @@ TEST(Campaign, DeterministicPerSeed) {
   EXPECT_EQ(a.describe(), b.describe());
 }
 
+// The trace layer's outcomes per seed, pinned exactly. The trace decoder
+// feeds the ITC-CFG builder as it goes, so a corrupt packet stream may be
+// rejected by the builder before the decoder reaches the defect; either way
+// the collection throws and the fault counts as rejected at load, and a
+// stream that decodes cleanly yields the same graph. These counts must
+// not depend on where in the pipeline a garbled trace is caught.
+TEST(Campaign, TraceLayerOutcomesArePinnedPerSeed) {
+  struct Pinned {
+    uint64_t seed;
+    uint64_t rejected_at_load, contained, flagged, absorbed, escaped;
+  };
+  const Pinned kPinned[] = {
+      {0xf00d, 7, 0, 0, 23, 0},
+      {0xbead, 12, 0, 0, 18, 0},
+      {0xcafe, 16, 0, 0, 14, 0},
+      {0x5eed, 12, 0, 0, 18, 0},
+  };
+  for (const Pinned& p : kPinned) {
+    faultinject::CampaignConfig config;
+    config.seed = p.seed;
+    config.spec_faults_per_device = 0;
+    config.trace_faults_per_device = 6;
+    config.dma_faults_per_device = 0;
+    config.checker_faults_per_device = 0;
+    config.ops_per_fault = 2;
+    const faultinject::LayerOutcomes o =
+        faultinject::run_campaign(config)
+            .by_layer[static_cast<size_t>(faultinject::Layer::kTrace)];
+    SCOPED_TRACE(p.seed);
+    EXPECT_EQ(o.injected, 6 * workload_names().size());
+    EXPECT_EQ(o.rejected_at_load, p.rejected_at_load);
+    EXPECT_EQ(o.contained, p.contained);
+    EXPECT_EQ(o.flagged, p.flagged);
+    EXPECT_EQ(o.absorbed, p.absorbed);
+    EXPECT_EQ(o.escaped, p.escaped);
+    EXPECT_TRUE(o.accounted());
+  }
+}
+
 TEST(Campaign, FailOpenPolicyProducesDegradedResolutions) {
   faultinject::CampaignConfig config;
   config.seed = 0xcafe;
