@@ -50,13 +50,14 @@ int main(int argc, char** argv) {
 
   std::printf("\ndevice-state-change log: %zu rounds; first round:\n",
               collected.log.round_count());
-  const auto rounds = collected.log.rounds();
-  if (!rounds.empty()) {
-    statelog::DeviceStateLog first;
-    for (const auto& e : rounds.front().entries) {
-      first.append(e);
+  statelog::LogCursor cursor(collected.log);
+  statelog::LogEntry e;
+  while (cursor.next(e)) {
+    std::printf("%s",
+                statelog::to_text(e, wl->device().program()).c_str());
+    if (e.kind == statelog::EntryKind::kRoundEnd) {
+      break;
     }
-    std::printf("%s", statelog::to_text(first, wl->device().program()).c_str());
   }
 
   std::printf("\n=== phase 2: specification construction ===\n\n");

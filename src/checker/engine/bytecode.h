@@ -83,7 +83,7 @@ enum class Op : uint8_t {
   // scalar — invalid ids keep kStoreParam so the arena's runtime
   // containment is engine-identical). The verifier pins the width to 1, 2,
   // 4 or 8 and bounds-checks offset+width against the arena.
-  kStoreScalar,  // store_raw(c, b, truncate(t, a))  (t = field type)
+  kStoreScalar,  // store_scalar(c, b, truncate(t, a))  (t = field type)
 
   kOpCount,
 };

@@ -35,26 +35,16 @@ StateArena::StateArena(const StateLayout* layout)
   SEDSPEC_REQUIRE(layout != nullptr);
 }
 
-uint64_t StateArena::load_raw(uint32_t offset, uint32_t size) const {
-  uint64_t v = 0;
-  std::memcpy(&v, bytes_.data() + offset, size);  // little-endian host
-  return v;
-}
-
-void StateArena::store_raw(uint32_t offset, uint32_t size, uint64_t raw) {
-  std::memcpy(bytes_.data() + offset, &raw, size);
-}
-
 uint64_t StateArena::param(ParamId id) const {
   const FieldDesc& f = layout_->field(id);
   SEDSPEC_REQUIRE_MSG(!f.is_buffer(), "param() on buffer field " + f.name);
-  return load_raw(f.offset, f.size);
+  return load_scalar(f.offset, f.size);
 }
 
 void StateArena::set_param(ParamId id, uint64_t raw) {
   const FieldDesc& f = layout_->field(id);
   SEDSPEC_REQUIRE_MSG(!f.is_buffer(), "set_param() on buffer field " + f.name);
-  store_raw(f.offset, f.size, truncate_to(f.type, raw));
+  store_scalar(f.offset, f.size, truncate_to(f.type, raw));
 }
 
 StateArena::Resolved StateArena::resolve(ParamId id, uint64_t index,
@@ -102,7 +92,7 @@ uint64_t StateArena::buf_load(ParamId id, uint64_t index, EvalDiag* diag) {
       return 0;  // escaped the structure: real QEMU reads foreign heap
     }
   }
-  return load_raw(static_cast<uint32_t>(r.byte_offset), f.elem_size);
+  return load_scalar(static_cast<uint32_t>(r.byte_offset), f.elem_size);
 }
 
 void StateArena::buf_store(ParamId id, uint64_t index, uint64_t raw,
@@ -127,8 +117,8 @@ void StateArena::buf_store(ParamId id, uint64_t index, uint64_t raw,
   }
   // In-arena stores are applied even when out of the field's own bounds —
   // this is the adjacent-field corruption that exploits rely on.
-  store_raw(static_cast<uint32_t>(r.byte_offset), f.elem_size,
-            truncate_to(f.type, raw));
+  store_scalar(static_cast<uint32_t>(r.byte_offset), f.elem_size,
+               truncate_to(f.type, raw));
 }
 
 void StateArena::buf_fill(ParamId id, uint64_t index, uint64_t count,
@@ -192,7 +182,7 @@ uint64_t StateArena::buf_peek(ParamId id, uint64_t index) const {
   if (!r.in_bounds || !r.in_arena) {
     return 0;
   }
-  return load_raw(static_cast<uint32_t>(r.byte_offset), f.elem_size);
+  return load_scalar(static_cast<uint32_t>(r.byte_offset), f.elem_size);
 }
 
 bool StateArena::local(LocalId id, uint64_t* out) const {

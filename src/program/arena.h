@@ -76,17 +76,20 @@ class StateArena final : public StateAccess {
     return size == 1 || size == 2 || size == 4 || size == 8;
   }
 
-  /// Pre-resolved scalar access for the compiled check engine: offset/size
-  /// come from this layout's own FieldDesc and are re-verified against
-  /// arena_size() when a bytecode program attaches, so the per-access field
-  /// lookup is skipped. Bytes are little-endian raw, exactly as param()/
-  /// set_param() read and write scalar fields (the caller applies the
-  /// field-type truncation set_param() would).
+  /// Raw scalar access by pre-resolved offset/size, the one load/store
+  /// every scalar and buffer-element access of this arena goes through.
+  /// The compiled check engine and the instrumentation context's
+  /// observation diff call it directly with offsets taken from this
+  /// layout's own FieldDesc, skipping the per-access field lookup (the
+  /// bytecode program re-verifies them against arena_size() when it
+  /// attaches). Bytes are little-endian raw; the caller applies the
+  /// field-type truncation set_param() would.
   ///
-  /// `size` must satisfy is_scalar_width() (the bytecode verifier rejects
-  /// any other). Each width is a fixed-size memcpy, which compiles to a
-  /// single unaligned-safe mov; a runtime-sized one is a libc call through
-  /// a stack slot.
+  /// `size` must satisfy is_scalar_width(): StateLayout creates no other
+  /// scalar or element width, and the bytecode verifier rejects any other.
+  /// Each width is a fixed-size memcpy, which compiles to a single
+  /// unaligned-safe mov; a runtime-sized one is a libc call through a stack
+  /// slot.
   [[nodiscard]] uint64_t load_scalar(uint32_t offset, uint32_t size) const {
     const uint8_t* src = bytes_.data() + offset;
     switch (size) {
@@ -134,10 +137,7 @@ class StateArena final : public StateAccess {
   void report(IncidentKind kind, ParamId field, uint64_t detail,
               const std::string& note) const;
 
-  [[nodiscard]] uint64_t load_raw(uint32_t offset, uint32_t size) const;
-  void store_raw(uint32_t offset, uint32_t size, uint64_t raw);
-
-  // Little-endian host, as load_raw()/store_raw() assume.
+  // Little-endian host, as load_scalar()/store_scalar() assume.
   template <typename T>
   [[nodiscard]] static T load_fixed(const uint8_t* src) {
     T v = 0;

@@ -43,7 +43,7 @@ CollectionResult collect(Device& device,
   {
     obs::PhaseScope phase("itc_cfg", device.name());
     cfg::ItcCfgBuilder itc_builder;
-    itc_builder.feed_all(trace::decode(packets));
+    itc_builder.feed_packets(packets);
     out.itc_cfg = itc_builder.take();
 
     // CFG analysis: device-state parameter selection + observation plan.

@@ -6,11 +6,12 @@
 // (block entry / indirect target addresses) and TNT (conditional branch
 // direction) packets. TNT bits are packed up to six per packet as in real
 // IPT short-TNT encoding. The decoder recovers the exact event stream an
-// IPT decoder would hand to FlowGuard's ITC-CFG construction.
+// IPT decoder would hand to FlowGuard's ITC-CFG construction, and streams
+// it into its consumer event by event.
 #pragma once
 
 #include <cstdint>
-#include <vector>
+#include <span>
 
 #include "common/bytes.h"
 #include "expr/ids.h"
@@ -63,10 +64,46 @@ inline constexpr uint8_t kOpPgd = 0x02;
 inline constexpr uint8_t kOpTip = 0x03;
 inline constexpr uint8_t kOpTnt = 0x04;
 
-/// Decodes a packet buffer into the event stream. Throws DecodeError on
-/// malformed input (truncated buffer, unknown opcode, empty TNT header) —
-/// a garbled trace is untrusted data, recoverable by the collection
-/// pipeline, not a programming error.
-std::vector<TraceEvent> decode(std::span<const uint8_t> bytes);
+/// Decodes a packet buffer, handing each event to `sink` (any callable
+/// taking a const TraceEvent&) as soon as it is decoded, so a consumer
+/// such as the ITC-CFG builder sees the stream without an event vector in
+/// between. Throws DecodeError on malformed input (truncated buffer,
+/// unknown opcode, empty TNT header) — a garbled trace is untrusted data,
+/// recoverable by the collection pipeline, not a programming error. The
+/// events before the defect have been handed to `sink` by then.
+template <typename Sink>
+void decode(std::span<const uint8_t> bytes, Sink&& sink) {
+  ByteReader reader(bytes);
+  while (!reader.done()) {
+    const uint8_t op = reader.u8();
+    switch (op) {
+      case kOpPge:
+        sink(TraceEvent{EventKind::kPge, reader.u64(), false});
+        break;
+      case kOpPgd:
+        sink(TraceEvent{EventKind::kPgd, 0, false});
+        break;
+      case kOpTip:
+        sink(TraceEvent{EventKind::kTip, reader.u64(), false});
+        break;
+      case kOpTnt: {
+        const uint8_t header = reader.u8();
+        SEDSPEC_CHECK_DECODE(header != 0, "empty TNT packet");
+        // Highest set bit is the stop marker; bits below it are outcomes,
+        // LSB = oldest branch.
+        int stop = 7;
+        while (((header >> stop) & 1u) == 0) {
+          --stop;
+        }
+        for (int i = 0; i < stop; ++i) {
+          sink(TraceEvent{EventKind::kTnt, 0, ((header >> i) & 1u) != 0});
+        }
+        break;
+      }
+      default:
+        SEDSPEC_CHECK_DECODE(false, "unknown trace packet opcode");
+    }
+  }
+}
 
 }  // namespace sedspec::trace

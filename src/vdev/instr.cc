@@ -12,6 +12,16 @@ InstrumentationContext::InstrumentationContext(
       arena_(arena),
       incident_fn_(std::move(incident_fn)) {
   SEDSPEC_REQUIRE(program != nullptr && arena != nullptr);
+  const StateLayout& layout = program->layout();
+  for (size_t i = 0; i < layout.field_count(); ++i) {
+    const auto id = static_cast<ParamId>(i);
+    const FieldDesc& f = layout.field(id);
+    if (!f.is_buffer()) {
+      SEDSPEC_REQUIRE(StateArena::is_scalar_width(f.size));
+      scalars_.push_back(ScalarField{id, f.offset, f.size});
+    }
+  }
+  scalar_snapshot_.resize(scalars_.size());
 }
 
 void InstrumentationContext::bind_function(FuncAddr addr,
@@ -51,25 +61,18 @@ const IoAccess& InstrumentationContext::io() const {
 }
 
 void InstrumentationContext::snapshot_scalars() {
-  const StateLayout& layout = program_->layout();
-  scalar_snapshot_.resize(layout.field_count());
-  for (size_t i = 0; i < layout.field_count(); ++i) {
-    const FieldDesc& f = layout.field(static_cast<ParamId>(i));
-    scalar_snapshot_[i] = f.is_buffer() ? 0 : arena_->param(static_cast<ParamId>(i));
+  for (size_t i = 0; i < scalars_.size(); ++i) {
+    scalar_snapshot_[i] =
+        arena_->load_scalar(scalars_[i].offset, scalars_[i].size);
   }
 }
 
 void InstrumentationContext::diff_scalars() {
-  const StateLayout& layout = program_->layout();
-  for (size_t i = 0; i < layout.field_count(); ++i) {
-    const FieldDesc& f = layout.field(static_cast<ParamId>(i));
-    if (f.is_buffer()) {
-      continue;
-    }
-    const uint64_t now = arena_->param(static_cast<ParamId>(i));
+  for (size_t i = 0; i < scalars_.size(); ++i) {
+    const ScalarField& f = scalars_[i];
+    const uint64_t now = arena_->load_scalar(f.offset, f.size);
     if (now != scalar_snapshot_[i]) {
-      observer_->param_change(static_cast<ParamId>(i), scalar_snapshot_[i],
-                              now);
+      observer_->param_change(f.id, scalar_snapshot_[i], now);
       scalar_snapshot_[i] = now;
     }
   }

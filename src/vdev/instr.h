@@ -116,6 +116,13 @@ class InstrumentationContext {
   void snapshot_scalars();
   void diff_scalars();
 
+  // A layout scalar field, resolved once for the observation diff.
+  struct ScalarField {
+    ParamId id;
+    uint32_t offset;
+    uint32_t size;
+  };
+
   const DeviceProgram* program_;
   StateArena* arena_;
   std::function<void(const Incident&)> incident_fn_;
@@ -123,7 +130,9 @@ class InstrumentationContext {
   StateObserver* observer_ = nullptr;
   std::map<FuncAddr, std::function<void()>> functions_;
   std::optional<IoAccess> io_;
-  // Scalar snapshot for observer param-change diffing.
+  // The layout's scalar fields in field order, and their values at the
+  // last snapshot/diff, for observer param-change diffing.
+  std::vector<ScalarField> scalars_;
   std::vector<uint64_t> scalar_snapshot_;
 };
 

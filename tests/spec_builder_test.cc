@@ -13,11 +13,10 @@ namespace sedspec {
 namespace {
 
 using statelog::DeviceStateLog;
-using statelog::EntryKind;
-using statelog::LogEntry;
+using statelog::LogRecorder;
 
 struct LogMaker {
-  DeviceStateLog log;
+  LogRecorder rec;
   IoAccess io;
 
   LogMaker() {
@@ -26,32 +25,16 @@ struct LogMaker {
     io.is_write = true;
   }
 
-  void start() {
-    LogEntry e;
-    e.kind = EntryKind::kRoundStart;
-    e.io = io;
-    log.append(e);
-  }
+  void start() { rec.round_start(io); }
   void site(SiteId s, BlockKind k = BlockKind::kPlain) {
-    LogEntry e;
-    e.kind = EntryKind::kSiteEnter;
-    e.site = s;
-    e.block_kind = k;
-    log.append(e);
+    rec.site_enter(s, k);
   }
   void branch(SiteId s, bool taken) {
     site(s, BlockKind::kConditional);
-    LogEntry e;
-    e.kind = EntryKind::kBranch;
-    e.site = s;
-    e.taken = taken;
-    log.append(e);
+    rec.branch(s, taken);
   }
-  void end() {
-    LogEntry e;
-    e.kind = EntryKind::kRoundEnd;
-    log.append(e);
-  }
+  void end() { rec.round_end(); }
+  [[nodiscard]] const DeviceStateLog& log() const { return rec.log(); }
 };
 
 struct SyntheticProgram {
@@ -107,7 +90,7 @@ TEST(SpecBuilder, MergesConvergentConditional) {
   lm.site(sp.s_tail);
   lm.end();
 
-  const spec::EsCfg cfg = sp.build(lm.log);
+  const spec::EsCfg cfg = sp.build(lm.log());
   const auto* cond = cfg.block(sp.s_cond);
   ASSERT_NE(cond, nullptr);
   // Both directions observed with the same successor: merged, NBTD dropped
@@ -127,7 +110,7 @@ TEST(SpecBuilder, SplicesEmptyBlocks) {
   lm.site(sp.s_tail);
   lm.end();
 
-  const spec::EsCfg cfg = sp.build(lm.log);
+  const spec::EsCfg cfg = sp.build(lm.log());
   EXPECT_EQ(cfg.block(sp.s_empty), nullptr);
   EXPECT_EQ(cfg.spliced_blocks, 1u);
   const auto* left = cfg.block(sp.s_left);
@@ -144,7 +127,7 @@ TEST(SpecBuilder, SingleObservedDirectionStaysPartial) {
   lm.site(sp.s_left);
   lm.end();
 
-  const spec::EsCfg cfg = sp.build(lm.log);
+  const spec::EsCfg cfg = sp.build(lm.log());
   const auto* cond = cfg.block(sp.s_cond);
   ASSERT_NE(cond, nullptr);
   EXPECT_FALSE(cond->merged);
@@ -163,7 +146,7 @@ TEST(SpecBuilder, InconsistentPlainSuccessorIsAnAuthoringError) {
   lm.site(sp.s_left);
   lm.site(sp.s_right);  // same plain block, different successor
   lm.end();
-  EXPECT_THROW((void)sp.build(lm.log), spec::BuildError);
+  EXPECT_THROW((void)sp.build(lm.log()), spec::BuildError);
 }
 
 TEST(SpecBuilder, BlockBothEndingAndContinuingIsAnError) {
@@ -176,7 +159,7 @@ TEST(SpecBuilder, BlockBothEndingAndContinuingIsAnError) {
   lm.site(sp.s_left);
   lm.site(sp.s_tail);  // ...and later continues
   lm.end();
-  EXPECT_THROW((void)sp.build(lm.log), spec::BuildError);
+  EXPECT_THROW((void)sp.build(lm.log()), spec::BuildError);
 }
 
 TEST(SpecBuilder, ConflictingEntryBlockIsAnError) {
@@ -188,7 +171,7 @@ TEST(SpecBuilder, ConflictingEntryBlockIsAnError) {
   lm.start();
   lm.site(sp.s_right);  // same I/O key, different first block
   lm.end();
-  EXPECT_THROW((void)sp.build(lm.log), spec::BuildError);
+  EXPECT_THROW((void)sp.build(lm.log()), spec::BuildError);
 }
 
 TEST(SpecBuilder, VisitBoundsTrackPerRoundMaximum) {
@@ -205,7 +188,7 @@ TEST(SpecBuilder, VisitBoundsTrackPerRoundMaximum) {
   lm.branch(sp.s_cond, false);
   lm.site(sp.s_right);
   lm.end();
-  const spec::EsCfg cfg = sp.build(lm.log);
+  const spec::EsCfg cfg = sp.build(lm.log());
   EXPECT_EQ(cfg.block(sp.s_tail)->max_visits_per_round, 5u);
   EXPECT_EQ(cfg.block(sp.s_cond)->max_visits_per_round, 6u);
 }
@@ -215,7 +198,7 @@ TEST(SpecBuilder, EmptyRoundRecordsEmptyEntry) {
   LogMaker lm;
   lm.start();
   lm.end();
-  const spec::EsCfg cfg = sp.build(lm.log);
+  const spec::EsCfg cfg = sp.build(lm.log());
   const auto it = cfg.entry_dispatch.find(key_of(lm.io));
   ASSERT_NE(it, cfg.entry_dispatch.end());
   EXPECT_EQ(it->second, kInvalidSite);

@@ -16,6 +16,19 @@ using trace::PacketEncoder;
 using trace::TraceEvent;
 using trace::TraceFilter;
 
+std::vector<TraceEvent> decode_all(std::span<const uint8_t> bytes) {
+  std::vector<TraceEvent> events;
+  trace::decode(bytes, [&](const TraceEvent& e) { events.push_back(e); });
+  return events;
+}
+
+void feed_all(cfg::ItcCfgBuilder& builder,
+              const std::vector<TraceEvent>& events) {
+  for (const TraceEvent& e : events) {
+    builder.feed(e);
+  }
+}
+
 TEST(TracePackets, SimpleRoundTrip) {
   PacketEncoder enc;
   enc.pge(0x1000);
@@ -24,7 +37,7 @@ TEST(TracePackets, SimpleRoundTrip) {
   enc.tip(0x1020);
   enc.tnt(false);
   enc.pgd();
-  const auto events = trace::decode(enc.finish());
+  const auto events = decode_all(enc.finish());
   const std::vector<TraceEvent> expected = {
       {EventKind::kPge, 0x1000, false}, {EventKind::kTip, 0x1010, false},
       {EventKind::kTnt, 0, true},       {EventKind::kTip, 0x1020, false},
@@ -43,7 +56,7 @@ TEST(TracePackets, TntBitsPackSixPerByte) {
   const auto bytes = enc.finish();
   // PGE (1+8) + one packed TNT (1+1) + PGD (1).
   EXPECT_EQ(bytes.size(), 9u + 2u + 1u);
-  const auto events = trace::decode(bytes);
+  const auto events = decode_all(bytes);
   int tnt = 0;
   for (const auto& e : events) {
     if (e.kind == EventKind::kTnt) {
@@ -64,7 +77,7 @@ TEST(TracePackets, AddressRangeFilterDropsForeignCode) {
   enc.tip(0x7fff0000);        // shared library: dropped
   enc.tip(0x1ff0);            // in range
   enc.pgd();
-  const auto events = trace::decode(enc.finish());
+  const auto events = decode_all(enc.finish());
   int tips = 0;
   for (const auto& e : events) {
     if (e.kind == EventKind::kTip) {
@@ -88,9 +101,9 @@ TEST(TracePackets, KernelSpaceDisabled) {
 
 TEST(TracePackets, MalformedInputThrows) {
   std::vector<uint8_t> junk = {0x99};
-  EXPECT_THROW((void)trace::decode(junk), sedspec::DecodeError);
+  EXPECT_THROW((void)decode_all(junk), sedspec::DecodeError);
   std::vector<uint8_t> truncated = {0x03, 0x01};  // TIP missing bytes
-  EXPECT_THROW((void)trace::decode(truncated), sedspec::DecodeError);
+  EXPECT_THROW((void)decode_all(truncated), sedspec::DecodeError);
 }
 
 // Property: any interleaving of windows, tips, and branch bits survives the
@@ -123,7 +136,7 @@ TEST_P(TraceRoundTrip, RandomStreamsRoundTrip) {
     enc.pgd();
     expected.push_back({EventKind::kPgd, 0, false});
   }
-  EXPECT_EQ(trace::decode(enc.finish()), expected);
+  EXPECT_EQ(decode_all(enc.finish()), expected);
 }
 
 TEST(ItcCfg, BuildsLabeledEdges) {
@@ -137,7 +150,7 @@ TEST(ItcCfg, BuildsLabeledEdges) {
       {EventKind::kPgd, 0, false},
   };
   cfg::ItcCfgBuilder builder;
-  builder.feed_all(events);
+  feed_all(builder, events);
   const cfg::ItcCfg graph = builder.take();
   EXPECT_EQ(graph.window_count(), 2u);
   ASSERT_NE(graph.node(0xa), nullptr);
@@ -157,7 +170,7 @@ TEST(ItcCfg, WindowEndsTracked) {
       {EventKind::kPgd, 0, false},
   };
   cfg::ItcCfgBuilder builder;
-  builder.feed_all(events);
+  feed_all(builder, events);
   const cfg::ItcCfg graph = builder.take();
   EXPECT_EQ(graph.node(0xa)->window_ends, 1u);
 }

@@ -168,7 +168,9 @@ TEST(Instrumentation, TraceAndObserveStreams) {
   dev.ictx().set_trace_sink(nullptr);
   dev.ictx().set_observer(nullptr);
 
-  const auto events = trace::decode(enc.finish());
+  std::vector<trace::TraceEvent> events;
+  trace::decode(enc.finish(),
+                [&](const trace::TraceEvent& e) { events.push_back(e); });
   ASSERT_GE(events.size(), 3u);  // PGE, TIP, PGD
   EXPECT_EQ(events.front().kind, trace::EventKind::kPge);
   EXPECT_EQ(events.back().kind, trace::EventKind::kPgd);
@@ -176,7 +178,9 @@ TEST(Instrumentation, TraceAndObserveStreams) {
   const auto log = rec.take();
   EXPECT_EQ(log.round_count(), 1u);
   bool saw_param_change = false;
-  for (const auto& e : log.entries()) {
+  statelog::LogCursor cursor(log);
+  statelog::LogEntry e;
+  while (cursor.next(e)) {
     if (e.kind == statelog::EntryKind::kParamChange) {
       saw_param_change = true;
       EXPECT_EQ(e.new_value, 3u);
