@@ -14,6 +14,7 @@
 #pragma once
 
 #include <stdexcept>
+#include <vector>
 
 #include "cfg/analyzer.h"
 #include "dataflow/dataflow.h"
@@ -55,6 +56,8 @@ class EsCfgBuilder {
   };
 
   EsBlock& ensure_block(SiteId site);
+  /// The block of a site the log has entered; BuildError otherwise.
+  EsBlock& entered_block(SiteId site);
   void connect(const PendingEdge& edge, SiteId to);
   void finish_round(const PendingEdge& edge);
   [[nodiscard]] StmtList filter_dsod(const sedspec::StmtList& dsod);
@@ -65,6 +68,10 @@ class EsCfgBuilder {
   cfg::ParamSelection selection_;
   dataflow::RecoveryPlan recovery_;
   EsCfg cfg_;
+  // Each site's block in cfg_.blocks once the log has entered it (map
+  // nodes never move), so Algorithm 1 looks a site up by index. Stale
+  // after reduce() erases spliced blocks; add_log() is closed by then.
+  std::vector<EsBlock*> block_at_;
   bool finalized_ = false;
 };
 
