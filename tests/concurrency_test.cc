@@ -15,6 +15,7 @@
 #include <stdexcept>
 #include <thread>
 
+#include "faultinject/faultinject.h"
 #include "obs/flight.h"
 #include "obs/metrics.h"
 #include "sedspec/enforcement.h"
@@ -101,6 +102,67 @@ TEST(Concurrency, EightShardsBenignUnderLiveRedeployStayClean) {
   // Report conservation: everything pushed was drained, nothing dropped.
   EXPECT_EQ(report.reports_dropped, 0u);
   EXPECT_EQ(report.reports.size(), report.reports_pushed);
+}
+
+// Contained internal faults across live redeploys: every checker a shard
+// attaches (its first, and each one a redeploy swaps in) gets two one-shot
+// traversal throws through the ShardSpec::checker_hook seam. Fail-open
+// containment absorbs each as a degraded round healed by a shadow resync,
+// so benign traffic stays violation-free and no report is lost.
+TEST(Concurrency, ContainedFaultBurstsUnderLiveRedeployLoseNoReports) {
+  spec::SpecStore store;
+  enforce::publish_device_specs(store, guest::workload_names());
+
+  ServiceConfig config;
+  config.spec_poll_ops = 4;
+  EnforcementService service(&store, config);
+  std::vector<ShardSpec> shards =
+      make_shards(guest::workload_names().size(), 40);
+
+  // Each slot is touched only by its own shard's thread.
+  std::vector<const checker::EsChecker*> last_armed(shards.size(), nullptr);
+  std::atomic<uint64_t> armed{0};
+  for (size_t i = 0; i < shards.size(); ++i) {
+    shards[i].checker.failure_policy = checker::FailurePolicy::kFailOpen;
+    shards[i].checker_hook = [&last_armed, &armed, i](
+                                 uint64_t op, checker::EsChecker& active) {
+      if (last_armed[i] == &active) {
+        return;  // already armed this checker
+      }
+      last_armed[i] = &active;
+      faultinject::arm_checker_faults(active,
+                                      faultinject::CheckerFaultKind::kThrow, 2,
+                                      0x50a4 + 131 * i + op);
+      armed.fetch_add(1, std::memory_order_relaxed);
+    };
+  }
+
+  std::atomic<bool> stop_writer{false};
+  std::thread writer([&] {
+    while (!stop_writer.load(std::memory_order_acquire)) {
+      for (const std::string& name : store.device_names()) {
+        store.publish(spec::EsCfg(store.current(name)->cfg));
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+
+  const RunReport report = service.run(shards);
+  stop_writer.store(true, std::memory_order_release);
+  writer.join();
+
+  ASSERT_TRUE(report.ok());
+  EXPECT_GE(report.fleet.contained_faults, 1u);
+  EXPECT_EQ(report.fleet.blocked, 0u);
+  for (int strat = 0; strat < 3; ++strat) {
+    EXPECT_EQ(report.fleet.violations_by_strategy[strat], 0u);
+  }
+  EXPECT_EQ(report.reports_dropped, 0u);
+  EXPECT_EQ(report.reports.size(), report.reports_pushed);
+
+  // Redeploys happened, and the hook re-armed the checkers they swapped in.
+  EXPECT_GT(report.total_redeploys, 0u);
+  EXPECT_GT(armed.load(), shards.size());
 }
 
 TEST(Concurrency, PinnedSnapshotSurvivesStoreSupersession) {
