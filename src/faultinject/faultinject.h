@@ -98,67 +98,11 @@ enum class CheckerFaultKind : uint8_t {
   kRunaway = 2,        // termination checks suppressed; only the watchdog
                        // can end the round
 };
-inline constexpr size_t kCheckerFaultKinds = 3;
 
 /// Arms `count` one-shot internal faults (each checked round consumes one).
 void arm_checker_faults(checker::EsChecker& checker, CheckerFaultKind kind,
                         size_t count, uint64_t seed);
 void disarm_checker_faults(checker::EsChecker& checker);
-
-/// Deterministic window → checker-fault-burst mapping for long-haul soaks
-/// (bench/bench_soak.cc). Windows `first, first + period, first + 2*period,
-/// ...` carry a burst; the fault kind cycles through kCheckerFaultKinds so
-/// a soak exercises every internal-fault path, and the per-burst RNG seed
-/// is derived from (seed, window) so the same (schedule, window) always
-/// reproduces the same faults regardless of evaluation order.
-class BurstSchedule {
- public:
-  struct Burst {
-    CheckerFaultKind kind = CheckerFaultKind::kThrow;
-    size_t count = 0;
-    uint64_t seed = 0;
-  };
-
-  BurstSchedule(uint64_t first_window, uint64_t period,
-                size_t faults_per_burst, uint64_t seed)
-      : first_(first_window),
-        period_(period == 0 ? 1 : period),
-        faults_(faults_per_burst),
-        seed_(seed) {}
-
-  /// Burst scheduled for `window`, if any. Pure function of the ctor args.
-  [[nodiscard]] bool at(uint64_t window, Burst& out) const {
-    if (window < first_ || (window - first_) % period_ != 0 || faults_ == 0) {
-      return false;
-    }
-    const uint64_t index = (window - first_) / period_;
-    out.kind = static_cast<CheckerFaultKind>(index % kCheckerFaultKinds);
-    out.count = faults_;
-    // splitmix-style stir so adjacent windows get unrelated fault RNGs.
-    uint64_t s = seed_ ^ (window * 0x9e3779b97f4a7c15ULL);
-    s ^= s >> 30;
-    s *= 0xbf58476d1ce4e5b9ULL;
-    out.seed = s;
-    return true;
-  }
-
-  /// Arms this window's burst on `checker` (no-op when the window carries
-  /// none). Returns true when a burst was armed.
-  bool arm(uint64_t window, checker::EsChecker& checker) const {
-    Burst b;
-    if (!at(window, b)) {
-      return false;
-    }
-    arm_checker_faults(checker, b.kind, b.count, b.seed);
-    return true;
-  }
-
- private:
-  uint64_t first_;
-  uint64_t period_;
-  size_t faults_;
-  uint64_t seed_;
-};
 
 // Layer kControl ------------------------------------------------------------
 //

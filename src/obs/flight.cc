@@ -9,7 +9,7 @@
 namespace sedspec::obs {
 
 namespace {
-constexpr size_t kTriggerCount = 5;
+constexpr size_t kTriggerCount = 4;
 }  // namespace
 
 const char* flight_trigger_name(FlightTrigger t) {
@@ -20,8 +20,6 @@ const char* flight_trigger_name(FlightTrigger t) {
       return "quarantine";
     case FlightTrigger::kWatchdog:
       return "watchdog";
-    case FlightTrigger::kSloBreach:
-      return "slo_breach";
     case FlightTrigger::kManual:
       return "manual";
   }
@@ -39,12 +37,6 @@ FlightRecorder::FlightRecorder(size_t shards, FlightConfig cfg) : cfg_(cfg) {
   }
   last_dump_epoch_.assign(shards * kTriggerCount, ~uint64_t{0});
   slots_.resize(cfg_.max_bundles);
-}
-
-void FlightRecorder::set_context_provider(
-    std::function<std::string()> provider) {
-  std::lock_guard lock(mu_);
-  context_provider_ = std::move(provider);
 }
 
 void FlightRecorder::set_epoch(uint64_t epoch) {
@@ -78,11 +70,6 @@ bool FlightRecorder::dump(FlightTrigger trigger, size_t shard,
   slot.events.reserve(rings_[shard]->capacity());
   rings_[shard]->copy_packed(slot.events);
   metrics().freeze(slot.metrics);
-  if (context_provider_) {
-    slot.context_json = context_provider_();
-  } else {
-    slot.context_json.clear();
-  }
   ++dumps_;
   return true;
 }
@@ -131,7 +118,6 @@ FlightBundle FlightRecorder::render(const Slot& slot) const {
     b.events.push_back(std::move(e));
   }
   b.metrics_json = slot.metrics.to_json();
-  b.context_json = slot.context_json;
   return b;
 }
 
@@ -151,12 +137,10 @@ std::string FlightBundle::to_json() const {
         << "\", \"a\": " << e.a << ", \"b\": " << e.b << "}";
     first = false;
   }
-  // metrics_json / context_json are themselves JSON — embed verbatim so
-  // the bundle parses back as one document.
+  // metrics_json is itself JSON — embed it verbatim so the bundle parses
+  // back as one document.
   out << "\n  ],\n  \"metrics\": "
-      << (metrics_json.empty() ? "{}" : metrics_json)
-      << ",\n  \"context\": " << (context_json.empty() ? "{}" : context_json)
-      << "\n}\n";
+      << (metrics_json.empty() ? "{}" : metrics_json) << "\n}\n";
   return out.str();
 }
 

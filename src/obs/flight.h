@@ -5,16 +5,14 @@
 // machinery the global tracer uses) that the checker records into on
 // every round — a rolling "last K things this shard did". The ring has
 // one writer, the shard's checker (EventTracer's keyed record is
-// single-writer), so shards never share a ring. When something
-// goes wrong (violation, quarantine, watchdog trip, SLO breach), dump()
-// freezes that shard's ring into a FlightBundle: the resolved events, the
-// registry metrics at freeze time, and a caller-supplied context blob
-// (the soak driver injects the current TimeSeries window + SLO verdicts).
-// The bundle is self-contained JSON — every incident ships with the last
-// shard_ring_capacity events that preceded it (256 by default: about 80 µs
-// of back-to-back fdc rounds at ~0.3 µs each, longer on a quieter shard),
-// answering "what was the checker doing just before this?" without a
-// global trace.
+// single-writer), so shards never share a ring. When something goes
+// wrong (violation, quarantine, watchdog trip), dump() freezes that
+// shard's ring into a FlightBundle: the resolved events and the registry
+// metrics at freeze time. The bundle is self-contained JSON — every
+// incident ships with the last shard_ring_capacity events that preceded
+// it (256 by default: about 80 µs of back-to-back fdc rounds at ~0.3 µs
+// each, longer on a quieter shard), answering "what was the checker doing
+// just before this?" without a global trace.
 //
 // Cost model: a checker resolves its ring's EventKeys once when it attaches,
 // so recording a round is one keyed EventTracer::record — a relaxed head
@@ -39,19 +37,18 @@
 // same copies take 0.7 and 0.2 µs, so most of a dump is cache misses: on
 // the ring, on the registry's series, and on the bundle slot, which comes
 // round again only every max_bundles dumps. A warm dump allocates nothing
-// unless a context provider is set or metric series were registered since
-// the slot was last used. Frozen metrics point at the registry's map keys,
-// which is sound because the registry never erases a series; frozen
-// events keep interned ids, which the shard rings never drop. The strings
-// are resolved and the JSON rendered only when a bundle is read, in
-// bundles() and to_json(). Per-(shard, trigger) dumps are deduplicated
-// within an epoch (the collector bumps the epoch each window) so a
-// violation storm produces one bundle per window, not thousands.
+// unless metric series were registered since the slot was last used.
+// Frozen metrics point at the registry's map keys, which is sound because
+// the registry never erases a series; frozen events keep interned ids,
+// which the shard rings never drop. The strings are resolved and the JSON
+// rendered only when a bundle is read, in bundles() and to_json().
+// Per-(shard, trigger) dumps are deduplicated within an epoch (the caller
+// bumps it with set_epoch() on its own cadence) so a violation storm
+// produces one bundle per epoch, not thousands.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -67,7 +64,6 @@ enum class FlightTrigger : uint8_t {
   kViolation = 0,
   kQuarantine,
   kWatchdog,
-  kSloBreach,
   kManual,
 };
 
@@ -80,16 +76,16 @@ struct FlightConfig {
   size_t max_bundles = 16;
 };
 
-/// One frozen incident as readers see it: resolved events + metrics +
-/// context, all by value (self-contained — survives the recorder and the
-/// rings it came from). Rendered from the raw slot by bundles().
+/// One frozen incident as readers see it: resolved events + metrics, all
+/// by value (self-contained — survives the recorder and the rings it came
+/// from). Rendered from the raw slot by bundles().
 struct FlightBundle {
   uint64_t sequence = 0;  // monotone bundle number
   uint64_t ts_ns = 0;     // freeze time
   FlightTrigger trigger = FlightTrigger::kManual;
   size_t shard = 0;
-  uint64_t epoch = 0;     // collector window the incident fell in
-  std::string reason;     // trigger-specific detail (device, SLO name, ...)
+  uint64_t epoch = 0;     // dedup epoch the incident fell in
+  std::string reason;     // trigger-specific detail (report kind, ...)
   /// Shard ring at freeze time, oldest-first, strings resolved.
   struct Event {
     uint64_t ts_ns = 0;  // 0 = untimed round event
@@ -103,8 +99,6 @@ struct FlightBundle {
   std::vector<Event> events;
   /// MetricsRegistry::to_json() of the values at freeze time.
   std::string metrics_json;
-  /// Caller-supplied window context (JSON object or empty).
-  std::string context_json;
 
   [[nodiscard]] std::string to_json() const;
 };
@@ -119,12 +113,7 @@ class FlightRecorder {
   /// Single-writer: only shard `i`'s thread may record into it.
   [[nodiscard]] EventTracer& shard_ring(size_t i) { return *rings_[i]; }
 
-  /// Provides the "current window" context embedded in bundles. Called
-  /// from whatever thread triggers a dump — must be thread-safe. Expected
-  /// to return a JSON object (or empty string for none).
-  void set_context_provider(std::function<std::string()> provider);
-
-  /// Bumps the dedup epoch — typically once per collector window. Dumps
+  /// Bumps the dedup epoch — typically on a fixed operation cadence. Dumps
   /// for a (shard, trigger) already captured in the current epoch are
   /// suppressed (counted, not recorded).
   void set_epoch(uint64_t epoch);
@@ -132,9 +121,9 @@ class FlightRecorder {
     return epoch_.load(std::memory_order_relaxed);
   }
 
-  /// Freezes shard `shard`'s ring (plus the default registry's metrics and
-  /// the context provider's blob) into a bundle. Returns true when a
-  /// bundle was recorded, false when deduplicated.
+  /// Freezes shard `shard`'s ring (plus the default registry's metrics)
+  /// into a bundle. Returns true when a bundle was recorded, false when
+  /// deduplicated.
   bool dump(FlightTrigger trigger, size_t shard, std::string_view reason);
 
   [[nodiscard]] uint64_t dumps() const;
@@ -155,7 +144,6 @@ class FlightRecorder {
     std::string reason;
     std::vector<PackedEvent> events;
     MetricsRegistry::Frozen metrics;
-    std::string context_json;
   };
   [[nodiscard]] FlightBundle render(const Slot& slot) const;
 
@@ -164,7 +152,6 @@ class FlightRecorder {
   std::atomic<uint64_t> epoch_{0};
 
   mutable std::mutex mu_;
-  std::function<std::string()> context_provider_;
   /// max_bundles slots; bundle `sequence` lives in slot sequence % size.
   std::vector<Slot> slots_;
   /// Last epoch in which (shard, trigger) dumped; index

@@ -197,8 +197,8 @@ class MetricsRegistry {
   void set_help(std::string_view name, std::string_view help);
 
   /// Values-only point-in-time copy of every series (one lock, relaxed
-  /// value loads): the capture behind flight dumps, JSON export and
-  /// TimeSeries windows. Entries point at the registry's never-erased map
+  /// value loads): the capture behind flight dumps and JSON export.
+  /// Entries point at the registry's never-erased map
   /// keys (`name{labels}`, see split_key()) instead of copying them, so a
   /// Frozen is valid while the registry lives; each family comes out in
   /// key order.

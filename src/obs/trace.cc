@@ -30,8 +30,6 @@ const char* event_type_name(EventType t) {
       return "phase_end";
     case EventType::kFaultOutcome:
       return "fault_outcome";
-    case EventType::kSloBreach:
-      return "slo_breach";
   }
   return "?";
 }

@@ -66,7 +66,6 @@ enum class EventType : uint8_t {
   kPhaseBegin,        // pipeline phase opened (Chrome 'B')
   kPhaseEnd,          // pipeline phase closed (Chrome 'E')
   kFaultOutcome,      // fault-injection campaign classified one fault
-  kSloBreach,         // SLO engine burn-rate breach; detail = SLO name
 };
 
 [[nodiscard]] const char* event_type_name(EventType t);

@@ -315,7 +315,7 @@ void EnforcementService::run_shard(const ShardSpec& spec, uint32_t shard_id,
     if (config_.spec_poll_ops == 0 || (i + 1) % config_.spec_poll_ops != 0) {
       continue;
     }
-    // Poll-boundary seam: lets a burst scheduler adjust the live checker
+    // Poll-boundary seam: lets a fault injector adjust the live checker
     // at poll cadence even when no redeploy happens this round.
     if (spec.checker_hook && dep.active != nullptr) {
       spec.checker_hook(hook_op, *dep.active);

@@ -68,11 +68,12 @@ struct ShardSpec {
   /// guest operation with the operation index; throwing models a shard
   /// crash mid-window (captured in ShardResult::error, never escapes).
   std::function<void(uint64_t op)> op_hook;
-  /// Live-checker seam (soak/fault-burst harness): invoked with the
-  /// currently installed active checker right after every (re)deploy and
-  /// at every spec-poll boundary. Redeploys swap checkers — per-checker
-  /// state like fault hooks does not survive the swap — so a burst
-  /// scheduler uses this to (re)arm whatever checker is live. Runs on the
+  /// Live-checker seam (fault arming, benchmark republish cadence):
+  /// invoked with the currently installed active checker right after
+  /// every (re)deploy and at every spec-poll boundary. Redeploys swap
+  /// checkers — per-checker state like fault hooks does not survive the
+  /// swap — so a fault injector uses this to (re)arm whatever checker is
+  /// live. Runs on the
   /// shard thread, strictly between guest operations.
   std::function<void(uint64_t op, checker::EsChecker& active)> checker_hook;
 };

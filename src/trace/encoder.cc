@@ -1,5 +1,8 @@
 #include "trace/encoder.h"
 
+#include <cstring>
+#include <utility>
+
 namespace sedspec::trace {
 
 void PacketEncoder::flush_tnt() {
@@ -7,23 +10,30 @@ void PacketEncoder::flush_tnt() {
     return;
   }
   // Stop-bit encoding: highest set bit terminates, outcomes below it.
-  const uint8_t header =
-      static_cast<uint8_t>((1u << tnt_count_) | tnt_bits_);
-  writer_.u8(kOpTnt);
-  writer_.u8(header);
+  const uint8_t pkt[2] = {kOpTnt,
+                          static_cast<uint8_t>((1u << tnt_count_) | tnt_bits_)};
+  bytes_.insert(bytes_.end(), pkt, pkt + sizeof pkt);
   tnt_bits_ = 0;
   tnt_count_ = 0;
 }
 
+// One insert per packet: the opcode, then the address's wire encoding (the
+// little-endian host's own bytes).
+void PacketEncoder::put_addr_packet(uint8_t op, FuncAddr addr) {
+  uint8_t pkt[1 + sizeof addr];
+  pkt[0] = op;
+  std::memcpy(pkt + 1, &addr, sizeof addr);
+  bytes_.insert(bytes_.end(), pkt, pkt + sizeof pkt);
+}
+
 void PacketEncoder::pge(FuncAddr addr) {
   flush_tnt();
-  writer_.u8(kOpPge);
-  writer_.u64(addr);
+  put_addr_packet(kOpPge, addr);
 }
 
 void PacketEncoder::pgd() {
   flush_tnt();
-  writer_.u8(kOpPgd);
+  bytes_.push_back(kOpPgd);
 }
 
 void PacketEncoder::tip(FuncAddr addr) {
@@ -32,8 +42,7 @@ void PacketEncoder::tip(FuncAddr addr) {
     return;
   }
   flush_tnt();
-  writer_.u8(kOpTip);
-  writer_.u64(addr);
+  put_addr_packet(kOpTip, addr);
 }
 
 void PacketEncoder::tnt(bool taken) {
@@ -46,7 +55,7 @@ void PacketEncoder::tnt(bool taken) {
 
 std::vector<uint8_t> PacketEncoder::finish() {
   flush_tnt();
-  return writer_.take();
+  return std::move(bytes_);
 }
 
 }  // namespace sedspec::trace

@@ -2,6 +2,7 @@
 // into while the "IPT module" is collecting (paper Fig. 1, phase 1).
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "trace/packets.h"
@@ -22,14 +23,15 @@ class PacketEncoder final : public TraceSink {
   /// Finishes any pending TNT packet and returns the packet bytes.
   [[nodiscard]] std::vector<uint8_t> finish();
 
-  [[nodiscard]] size_t byte_count() const { return writer_.size(); }
+  [[nodiscard]] size_t byte_count() const { return bytes_.size(); }
   [[nodiscard]] uint64_t dropped_by_filter() const { return dropped_; }
 
  private:
   void flush_tnt();
+  void put_addr_packet(uint8_t op, FuncAddr addr);
 
   TraceFilter filter_;
-  ByteWriter writer_;
+  std::vector<uint8_t> bytes_;
   uint8_t tnt_bits_ = 0;
   uint8_t tnt_count_ = 0;
   uint64_t dropped_ = 0;

@@ -225,7 +225,7 @@ std::vector<obs::TraceEvent> record_limit_events(obs::EventTracer& tracer) {
       obs::EventType::kIoAccess,   obs::EventType::kViolation,
       obs::EventType::kQuarantine, obs::EventType::kSelfHeal,
       obs::EventType::kPhaseBegin, obs::EventType::kPhaseEnd,
-      obs::EventType::kFaultOutcome, obs::EventType::kSloBreach};
+      obs::EventType::kFaultOutcome};
   const uint32_t ids[] = {0, last, sentinel};
   std::vector<obs::TraceEvent> want;
   for (size_t i = 0; i < types.size(); ++i) {
