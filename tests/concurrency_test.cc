@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <stdexcept>
 #include <thread>
 
@@ -19,6 +20,7 @@
 #include "obs/flight.h"
 #include "obs/metrics.h"
 #include "sedspec/enforcement.h"
+#include "spec/serial.h"
 
 namespace sedspec {
 namespace {
@@ -163,6 +165,40 @@ TEST(Concurrency, ContainedFaultBurstsUnderLiveRedeployLoseNoReports) {
   // Redeploys happened, and the hook re-armed the checkers they swapped in.
   EXPECT_GT(report.total_redeploys, 0u);
   EXPECT_GT(armed.load(), shards.size());
+}
+
+// publish_device_specs builds a fleet's specs concurrently. What it
+// publishes must be byte for byte what building one device at a time
+// gives, a republish must bump every version with the same bytes, and a
+// publish with a failing device must publish nothing.
+TEST(Concurrency, PublishedSpecsMatchSequentialBuild) {
+  const std::vector<std::string>& names = guest::workload_names();
+  std::map<std::string, std::vector<uint8_t>> sequential;
+  for (const std::string& name : names) {
+    const std::unique_ptr<guest::DeviceWorkload> w = guest::make_workload(name);
+    guest::DeviceWorkload* raw = w.get();
+    sequential[name] = spec::serialize(
+        pipeline::build_spec(w->device(), [raw] { raw->training(); }));
+  }
+
+  spec::SpecStore store;
+  for (uint64_t version = 1; version <= 2; ++version) {
+    SCOPED_TRACE(version);
+    enforce::publish_device_specs(store, names);
+    for (const std::string& name : names) {
+      SCOPED_TRACE(name);
+      const spec::SnapshotRef snap = store.current(name);
+      ASSERT_NE(snap, nullptr);
+      EXPECT_EQ(snap->version, version);
+      EXPECT_EQ(spec::serialize(snap->cfg), sequential[name]);
+    }
+  }
+
+  spec::SpecStore failing;
+  EXPECT_THROW(
+      enforce::publish_device_specs(failing, {"fdc", "no-such-device"}),
+      std::logic_error);
+  EXPECT_EQ(failing.current("fdc"), nullptr);
 }
 
 TEST(Concurrency, PinnedSnapshotSurvivesStoreSupersession) {
