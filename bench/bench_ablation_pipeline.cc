@@ -8,9 +8,12 @@
 // - collection phase split per device: plain training next to the
 //   pipeline's own phase timings (trace pass, decode + ITC-CFG + parameter
 //   selection, observation pass, Algorithm 1)
+// - fleet publication: publish_device_specs over every device next to the
+//   slowest single build_spec (its critical path) and the sum of all
 // - reduction statistics: blocks before/after, merged conditionals,
 //   spliced blocks, serialized spec size
 #include <benchmark/benchmark.h>
+#include <malloc.h>
 
 #include <algorithm>
 #include <array>
@@ -20,6 +23,7 @@
 #include "gbench_json.h"
 #include "guest/workload.h"
 #include "obs/metrics.h"
+#include "sedspec/enforcement.h"
 #include "sedspec/pipeline.h"
 #include "spec/builder.h"
 #include "spec/serial.h"
@@ -156,6 +160,58 @@ void print_phase_split(bench_report::MetricSink& sink) {
   obs::set_timing_enabled(timing);
 }
 
+// What fleet set-up waits on: publish_device_specs over every device (one
+// job per device, each making its own workload), the slowest single
+// build_spec (the critical path) and the sum over all devices (what a
+// one-device-at-a-time build takes). The build_spec timings run one device
+// at a time on this thread, each on a workload made before the clock
+// starts. Each number is the median of kReps runs, ms. The allocator runs
+// with the fixed mmap threshold sedbench's fleet workload sets, under
+// which every workload zero-fills fresh pages for its stores and RAM.
+void print_fleet_publication(bench_report::MetricSink& sink) {
+  constexpr int kReps = 5;
+  mallopt(M_MMAP_THRESHOLD, 128 * 1024);
+  mallopt(M_TRIM_THRESHOLD, 128 * 1024);
+  const std::vector<std::string>& devices = guest::workload_names();
+  std::vector<double> publish_ms;
+  std::vector<double> slowest_ms;
+  std::vector<double> sum_ms;
+  for (int rep = 0; rep < kReps; ++rep) {
+    spec::SpecStore store;
+    const uint64_t t0 = obs::now_ns();
+    enforce::publish_device_specs(store, devices);
+    publish_ms.push_back(static_cast<double>(obs::now_ns() - t0) / 1e6);
+
+    double slowest = 0;
+    double sum = 0;
+    for (const std::string& device : devices) {
+      auto wl = guest::make_workload(device);
+      const uint64_t t1 = obs::now_ns();
+      spec::EsCfg cfg =
+          pipeline::build_spec(wl->device(), [&] { wl->training(); });
+      const double ms = static_cast<double>(obs::now_ns() - t1) / 1e6;
+      benchmark::DoNotOptimize(cfg);
+      slowest = std::max(slowest, ms);
+      sum += ms;
+    }
+    slowest_ms.push_back(slowest);
+    sum_ms.push_back(sum);
+  }
+  const double publish = median_of(publish_ms);
+  const double slowest = median_of(slowest_ms);
+  const double sum = median_of(sum_ms);
+  std::printf(
+      "\nFleet publication over %zu devices (median of %d runs, ms).\n"
+      "publish = enforce::publish_device_specs wall time; slowest = the\n"
+      "slowest single build_spec (critical path); sum = all build_specs.\n"
+      "%12s %12s %12s\n%12.2f %12.2f %12.2f\n",
+      devices.size(), kReps, "publish", "slowest", "sum", publish, slowest,
+      sum);
+  sink.put("fleet_publication/publish_ms", publish);
+  sink.put("fleet_publication/slowest_build_spec_ms", slowest);
+  sink.put("fleet_publication/sum_build_spec_ms", sum);
+}
+
 void print_reduction_stats(bench_report::MetricSink& sink) {
   std::printf(
       "\nControl-flow reduction / spec size per device.\n"
@@ -205,6 +261,7 @@ int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   bench_report::run_with_capture(format_overridden, &sink);
   print_phase_split(sink);
+  print_fleet_publication(sink);
   print_reduction_stats(sink);
   benchmark::Shutdown();
   sink.write_json();

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <exception>
 #include <memory>
 #include <thread>
 #include <utility>
@@ -27,19 +28,34 @@ size_t RunReport::count(checker::Report::Kind kind) const {
 
 void publish_device_specs(spec::SpecStore& store,
                           const std::vector<std::string>& devices) {
-  // Spec construction needs a throwaway device instance per type (the
-  // training run mutates it); the produced ES-CFG is device-instance-
-  // independent and is what the store shares across shards.
-  std::vector<std::unique_ptr<guest::DeviceWorkload>> workloads;
-  std::vector<pipeline::SpecBuildJob> jobs;
-  workloads.reserve(devices.size());
+  // The training run mutates the device, so each job makes its own
+  // throwaway workload, and frees it as soon as its spec is built; making it
+  // inside the job keeps its page zero-filling off the other devices'
+  // critical path. The ES-CFG is device-instance-independent and is what
+  // the store shares across shards.
+  std::vector<spec::EsCfg> specs(devices.size());
+  std::vector<std::exception_ptr> errors(devices.size());
+  std::vector<std::thread> jobs;
   jobs.reserve(devices.size());
-  for (const std::string& name : devices) {
-    workloads.push_back(guest::make_workload(name));
-    guest::DeviceWorkload* w = workloads.back().get();
-    jobs.push_back(pipeline::SpecBuildJob{&w->device(), [w] { w->training(); }});
+  for (size_t i = 0; i < devices.size(); ++i) {
+    jobs.emplace_back([&, i] {
+      try {
+        const std::unique_ptr<guest::DeviceWorkload> w =
+            guest::make_workload(devices[i]);
+        specs[i] = pipeline::build_spec(w->device(), [&w] { w->training(); });
+      } catch (...) {
+        errors[i] = std::current_exception();
+      }
+    });
   }
-  std::vector<spec::EsCfg> specs = pipeline::build_specs_parallel(jobs);
+  for (std::thread& t : jobs) {
+    t.join();
+  }
+  for (const std::exception_ptr& e : errors) {
+    if (e != nullptr) {
+      std::rethrow_exception(e);
+    }
+  }
   for (spec::EsCfg& cfg : specs) {
     const spec::SnapshotRef snap = store.publish(std::move(cfg));
     log_info("enforce") << "published spec '" << snap->device_name

@@ -177,8 +177,13 @@ struct RunReport {
 };
 
 /// Offline fleet provisioning: builds a spec for every named device type
-/// (phases 1+2, concurrently via pipeline::build_specs_parallel) and
-/// publishes each into `store` (version 1, or prev+1 on republish).
+/// (phases 1+2, pipeline::build_spec) and publishes each into `store`, in
+/// the given order (version 1, or prev+1 on republish). Each device is one
+/// job on its own thread that makes its own workload, builds the spec and
+/// frees the workload, so the call takes as long as the slowest device.
+/// The first exception any job raises (an unknown device name throws
+/// std::logic_error) is rethrown after all jobs have joined, and then
+/// nothing is published.
 void publish_device_specs(spec::SpecStore& store,
                           const std::vector<std::string>& devices);
 

@@ -1,9 +1,5 @@
 #include "sedspec/pipeline.h"
 
-#include <exception>
-#include <thread>
-
-#include "common/assert.h"
 #include "common/log.h"
 #include "obs/trace.h"
 
@@ -87,33 +83,6 @@ spec::EsCfg build_spec(Device& device,
   spec::EsCfg cfg = construct(device, collection);
   device.reset();
   return cfg;
-}
-
-std::vector<spec::EsCfg> build_specs_parallel(
-    const std::vector<SpecBuildJob>& jobs) {
-  std::vector<spec::EsCfg> specs(jobs.size());
-  std::vector<std::exception_ptr> errors(jobs.size());
-  std::vector<std::thread> threads;
-  threads.reserve(jobs.size());
-  for (size_t i = 0; i < jobs.size(); ++i) {
-    threads.emplace_back([&, i] {
-      try {
-        SEDSPEC_REQUIRE(jobs[i].device != nullptr && jobs[i].training);
-        specs[i] = build_spec(*jobs[i].device, jobs[i].training);
-      } catch (...) {
-        errors[i] = std::current_exception();
-      }
-    });
-  }
-  for (std::thread& t : threads) {
-    t.join();
-  }
-  for (const std::exception_ptr& e : errors) {
-    if (e != nullptr) {
-      std::rethrow_exception(e);
-    }
-  }
-  return specs;
 }
 
 std::unique_ptr<checker::EsChecker> deploy(const spec::EsCfg& cfg,

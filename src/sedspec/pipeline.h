@@ -56,25 +56,11 @@ CollectionResult collect(Device& device,
 [[nodiscard]] spec::EsCfg construct(Device& device,
                                     const CollectionResult& collection);
 
-/// Phases 1+2 in one call. The device is reset before returning.
+/// Phases 1+2 in one call. The device is reset before returning. Calls on
+/// different devices are independent: enforce::publish_device_specs runs
+/// one per device, each on its own thread with its own workload.
 [[nodiscard]] spec::EsCfg build_spec(Device& device,
                                      const std::function<void()>& training);
-
-/// One device's phase-1+2 job for build_specs_parallel. The device (and
-/// everything its training callback touches) must be private to the job:
-/// jobs run concurrently, one per thread.
-struct SpecBuildJob {
-  Device* device = nullptr;
-  std::function<void()> training;
-};
-
-/// Runs build_spec for every job concurrently (one thread per job — spec
-/// construction for a whole device fleet is the paper's offline phase, and
-/// the five evaluation devices build independently). Results are returned
-/// in job order. The first exception any job raises is rethrown after all
-/// threads have joined.
-[[nodiscard]] std::vector<spec::EsCfg> build_specs_parallel(
-    const std::vector<SpecBuildJob>& jobs);
 
 /// Phase 3: create a checker and install it as the bus proxy.
 [[nodiscard]] std::unique_ptr<checker::EsChecker> deploy(

@@ -127,18 +127,21 @@ TEST(ObsFlight, MetricsAreFrozenAtDumpTime) {
   ASSERT_TRUE(flight.dump(obs::FlightTrigger::kManual, 0, "freeze"));
 
   // Bumped and registered after the dump: neither may leak into the
-  // bundle, although the bundle is rendered only now.
+  // bundle, although the bundle is rendered only now. The registry never
+  // erases a series, so the late names are new on every run of this test
+  // in the process (--gtest_repeat).
+  static int run = 0;
+  const std::string late = "flight_freeze_late_" + std::to_string(run++);
   probe.inc(100);
-  obs::metrics().counter("flight_freeze_late_total").inc();
-  obs::metrics().histogram("flight_freeze_late_ns").record(7);
+  obs::metrics().counter(late + "_total").inc();
+  obs::metrics().histogram(late + "_ns").record(7);
 
   const std::vector<obs::FlightBundle> bundles = flight.bundles();
   ASSERT_EQ(bundles.size(), 1u);
   EXPECT_EQ(frozen_counter(bundles[0], "flight_freeze_probe_total"),
             static_cast<double>(frozen));
-  EXPECT_FALSE(frozen_counter(bundles[0], "flight_freeze_late_total"));
-  EXPECT_EQ(bundles[0].metrics_json.find("flight_freeze_late_ns"),
-            std::string::npos);
+  EXPECT_FALSE(frozen_counter(bundles[0], late + "_total"));
+  EXPECT_EQ(bundles[0].metrics_json.find(late + "_ns"), std::string::npos);
 }
 
 TEST(ObsFlight, EventsAreFrozenAtDumpTime) {
