@@ -3,6 +3,9 @@
 // one-write-hardens-the-fleet integration with the enforcement service.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <memory>
+
 #include "control/policy.h"
 #include "sedspec/enforcement.h"
 #include "spec/spec_store.h"
@@ -174,6 +177,58 @@ TEST(PolicyEnforcement, OneTenantWriteProtectsOptedOutShard) {
   EXPECT_TRUE(report.shards[0].ended_protected);
   // Benign traffic stays benign under the tightened config.
   EXPECT_EQ(report.fleet.blocked, 0u);
+}
+
+// A policy write that forces protection must keep trying to deploy until
+// it lands: when the first fetch after the write exhausts its retries, the
+// shard stays unprotected only until the next poll, not until the next
+// policy write.
+TEST(PolicyEnforcement, ForcedProtectionRetriesAfterExhaustedFetch) {
+  spec::SpecStore store;
+  enforce::publish_device_specs(store, {"fdc"});
+
+  control::PolicyTree tree;
+  enforce::ServiceConfig svc;
+  svc.policy = &tree;
+  svc.spec_poll_ops = 8;
+  svc.redeploy_backoff_base_us = 5;
+  svc.redeploy_backoff_max_us = 50;
+  // The channel fails one whole fetch (first try plus every retry), then
+  // serves the store.
+  auto failures = std::make_shared<std::atomic<int>>(
+      1 + static_cast<int>(enforce::kRedeployMaxRetries));
+  svc.spec_fetch = [failures, &store](const std::string& device,
+                                      spec::SnapshotRef& out) {
+    if (failures->fetch_sub(1, std::memory_order_relaxed) > 0) {
+      spec::LoadError e;
+      e.status = spec::LoadStatus::kCrcMismatch;
+      e.detail = "channel down (injected)";
+      return e;
+    }
+    out = store.current(device);
+    return spec::LoadError{};
+  };
+
+  std::vector<enforce::ShardSpec> shards(1);
+  shards[0].device = "fdc";
+  shards[0].ops = 400;
+  shards[0].unprotected = true;
+  shards[0].op_hook = [&tree](uint64_t op) {
+    if (op == 100) {
+      control::Policy p;
+      p.per_device["fdc"].enforce = true;
+      tree.tighten_tenant(p);
+    }
+  };
+
+  enforce::EnforcementService service(&store, svc);
+  const enforce::RunReport report = service.run(shards);
+  ASSERT_TRUE(report.ok()) << report.shards[0].error;
+
+  const enforce::ShardResult& s = report.shards[0];
+  EXPECT_TRUE(s.ended_protected);
+  EXPECT_EQ(s.redeploy_failures, 1u);
+  EXPECT_GT(s.stats.rounds, 0u);
 }
 
 // Opt-out is honored while NO layer enforces: same fleet, no policy write.
