@@ -15,6 +15,7 @@
 #include <map>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 
 #include "faultinject/faultinject.h"
 #include "obs/flight.h"
@@ -165,6 +166,37 @@ TEST(Concurrency, ContainedFaultBurstsUnderLiveRedeployLoseNoReports) {
   // Redeploys happened, and the hook re-armed the checkers they swapped in.
   EXPECT_GT(report.total_redeploys, 0u);
   EXPECT_GT(armed.load(), shards.size());
+}
+
+// The poll-boundary checker_hook call comes before that boundary's spec
+// poll: a spec republished from inside the hook is deployed at the same
+// boundary, and the hook sees the new checker at the same operation index.
+// The fleet benchmark times its redeploy stall from this order.
+TEST(Concurrency, HookRepublishRedeploysAtTheSameBoundary) {
+  spec::SpecStore store;
+  enforce::publish_device_specs(store, {"fdc"});
+
+  ServiceConfig config;
+  config.spec_poll_ops = 8;
+  std::vector<ShardSpec> shards = make_shards(1, 40);
+  shards[0].device = "fdc";
+  // (op, spec version) of every hook call; touched only by the shard.
+  std::vector<std::pair<uint64_t, uint64_t>> calls;
+  shards[0].checker_hook = [&](uint64_t op, checker::EsChecker& active) {
+    calls.emplace_back(op, active.spec_version());
+    if (calls.size() == 2) {  // the first poll-boundary call
+      store.publish(spec::EsCfg(active.snapshot()->cfg));
+    }
+  };
+
+  const RunReport report = EnforcementService(&store, config).run(shards);
+  ASSERT_TRUE(report.ok()) << report.shards[0].error;
+  ASSERT_GE(calls.size(), 3u);
+  EXPECT_EQ(calls[0], std::make_pair(uint64_t{0}, uint64_t{1}));
+  EXPECT_EQ(calls[1], std::make_pair(uint64_t{8}, uint64_t{1}));
+  EXPECT_EQ(calls[2], std::make_pair(uint64_t{8}, uint64_t{2}));
+  EXPECT_EQ(report.shards[0].redeploys, 1u);
+  EXPECT_EQ(report.shards[0].final_spec_version, 2u);
 }
 
 // publish_device_specs builds a fleet's specs concurrently. What it
