@@ -156,18 +156,10 @@ void EnforcementService::run_shard(const ShardSpec& spec, uint32_t shard_id,
       obs::label({{"shard", std::to_string(shard_id)}}));
 
   const control::PolicyTree* pt = config_.policy;
-  uint64_t policy_version = pt == nullptr ? 0 : pt->version();
   auto policy_bits = [&]() {
     return pt == nullptr ? control::PolicyBits{}
                          : pt->effective(vm, spec.device);
   };
-  // Enforcement is on unless the shard opted out AND no policy layer
-  // overrides the opt-out (tighten-only: the fleet can force it back on,
-  // nothing can force it off).
-  auto should_protect = [&]() {
-    return !spec.unprotected || policy_bits().enforce;
-  };
-
   // Spec distribution with bounded retry: transient fetch failures back
   // off exponentially with jitter; exhaustion leaves the shard on its
   // pinned last-known-good snapshot.
@@ -204,10 +196,6 @@ void EnforcementService::run_shard(const ShardSpec& spec, uint32_t shard_id,
     }
   };
 
-  // Operation index the checker_hook seam reports; advanced by the op
-  // loop so mid-run redeploys re-arm with the right position.
-  uint64_t hook_op = 0;
-
   // The live deployment: active checker, optional shadow candidate, and
   // the proxy actually installed on the bus. Swapped as one unit between
   // guest operations.
@@ -217,9 +205,18 @@ void EnforcementService::run_shard(const ShardSpec& spec, uint32_t shard_id,
     std::unique_ptr<ShadowPair> pair;
   };
   Deployment dep;
+  // What `dep` was built from: active and candidate spec versions (0 =
+  // none; published versions start at 1) and the policy version.
+  struct Built {
+    uint64_t active = 0;
+    uint64_t candidate = 0;
+    uint64_t policy = 0;
+    bool operator==(const Built&) const = default;
+  };
+  Built built;
 
   // Folds the outgoing deployment's counters into the result. Called at
-  // every swap, once at the end, and on unwind (fold_on_exit below).
+  // every swap and once by the teardown (fold_on_exit below).
   auto accumulate = [&] {
     if (dep.active != nullptr) {
       result.stats.merge(dep.active->stats());
@@ -233,13 +230,6 @@ void EnforcementService::run_shard(const ShardSpec& spec, uint32_t shard_id,
     if (dep.pair != nullptr) {
       result.shadow_would_block += dep.pair->would_block();
     }
-  };
-
-  auto candidate_snapshot = [&]() -> spec::SnapshotRef {
-    if (!spec.shadow_candidate || config_.candidate_store == nullptr) {
-      return nullptr;
-    }
-    return config_.candidate_store->current(spec.device);
   };
 
   // (Re)deploys from the given snapshots: fresh checkers wired to the
@@ -290,36 +280,75 @@ void EnforcementService::run_shard(const ShardSpec& spec, uint32_t shard_id,
     // Re-arm seam: checker-local state (fault hooks, flight wiring beyond
     // the recorder ring) dies with the outgoing checker.
     if (spec.checker_hook) {
-      spec.checker_hook(hook_op, *dep.active);
+      spec.checker_hook(result.ops, *dep.active);
     }
   };
 
-  auto undeploy = [&] {
-    accumulate();
-    bus.set_proxy(nullptr);
-    workload->device().set_internal_activity_hook({});
-    dep = {};
-  };
-
-  // A shard thread that throws (an op_hook crash, a failing deploy) skips
-  // the final undeploy(); this still folds the live deployment and the bus
+  // The one teardown, on the normal and the throwing exit alike (an
+  // op_hook crash, a failing deploy): folds the live deployment and the bus
   // totals into the result, so RunReport::fleet counts a crashed shard's
-  // rounds. After a normal undeploy() `dep` is empty and only the bus
-  // totals are taken here.
+  // rounds, then detaches the checkers from the bus and the device.
   const ScopeExit fold_on_exit{[&] {
     accumulate();
     result.bus_accesses = bus.access_count();
     result.bus_owner_violations = bus.owner_violations();
+    bus.set_proxy(nullptr);
+    workload->device().set_internal_activity_hook({});
   }};
 
-  bool protecting = should_protect();
-  if (protecting) {
-    spec::SnapshotRef snap = fetch_with_retry(false);
-    SEDSPEC_REQUIRE_MSG(snap != nullptr,
+  // The one deployment step, run before the first operation and at every
+  // poll boundary. It wants no checker while none is deployed and the
+  // shard opted out with no policy layer overriding that (tighten-only:
+  // the fleet can force enforcement on, nothing can force it off).
+  // Otherwise it wants the active snapshot (fetched with retry when none
+  // is deployed or the store's version moved; an exhausted fetch keeps
+  // what is deployed), the canary candidate and the policy version, and
+  // deploys only when one of those moved.
+  auto reconcile = [&](bool first) {
+    if (dep.active == nullptr && spec.unprotected && !policy_bits().enforce) {
+      return;
+    }
+    // Read before deploy() applies the bits, so `built.policy` is never
+    // newer than the config it stands for.
+    Built want{.policy = pt == nullptr ? 0 : pt->version()};
+    spec::SnapshotRef active;
+    if (dep.active == nullptr ||
+        store_->version_of(spec.device) != built.active) {
+      active = fetch_with_retry(!first);
+    }
+    if (active == nullptr && dep.active != nullptr) {
+      active = dep.active->snapshot();  // last-known-good
+    }
+    SEDSPEC_REQUIRE_MSG(!first || active != nullptr,
                         "no spec published for this shard's device type");
-    deploy(std::move(snap), candidate_snapshot());
-  }
+    if (active == nullptr) {
+      return;  // fetch exhausted: unprotected until the next poll
+    }
+    spec::SnapshotRef cand;
+    if (spec.shadow_candidate && config_.candidate_store != nullptr) {
+      cand = config_.candidate_store->current(spec.device);
+    }
+    want.active = active->version;
+    want.candidate = cand == nullptr ? 0 : cand->version;
+    if (want == built) {
+      return;
+    }
+    deploy(std::move(active), std::move(cand));
+    if (!first && (built.active == 0 || want.policy != built.policy)) {
+      ++result.policy_redeploys;
+    }
+    if (built.active != 0 && want.active != built.active) {
+      ++result.redeploys;
+      checker::Report r;
+      r.kind = checker::Report::Kind::kRedeploy;
+      r.shard = shard_id;
+      r.value = want.active;
+      queue.try_push(r);  // best-effort, counted by the queue either way
+    }
+    built = want;
+  };
 
+  reconcile(true);
   for (uint64_t i = 0; i < spec.ops; ++i) {
     if (spec.op_hook) {
       // Fault seam: a throwing hook models the shard crashing mid-window.
@@ -327,71 +356,20 @@ void EnforcementService::run_shard(const ShardSpec& spec, uint32_t shard_id,
     }
     workload->common_operation(spec.mode, rng);
     ++result.ops;
-    hook_op = i + 1;
-    if (config_.spec_poll_ops == 0 || (i + 1) % config_.spec_poll_ops != 0) {
+    if (config_.spec_poll_ops == 0 || result.ops % config_.spec_poll_ops != 0) {
       continue;
     }
-    // Poll-boundary seam: lets a fault injector adjust the live checker
-    // at poll cadence even when no redeploy happens this round.
+    // Poll-boundary seam, ahead of the reconcile: lets a fault injector
+    // adjust the live checker at poll cadence even when nothing redeploys,
+    // and a spec republished from it is deployed at this same boundary.
     if (spec.checker_hook && dep.active != nullptr) {
-      spec.checker_hook(hook_op, *dep.active);
+      spec.checker_hook(result.ops, *dep.active);
     }
-    // Policy poll: one tighten anywhere in the tree redeploys this shard
-    // with the newly-effective (never weaker) config.
-    if (pt != nullptr && pt->version() != policy_version) {
-      policy_version = pt->version();
-      const bool want = should_protect();
-      if (want && dep.active == nullptr) {
-        spec::SnapshotRef snap = fetch_with_retry(true);
-        if (snap != nullptr) {
-          deploy(std::move(snap), candidate_snapshot());
-          ++result.policy_redeploys;
-        }
-      } else if (dep.active != nullptr) {
-        deploy(dep.active->snapshot(),
-               dep.candidate == nullptr ? nullptr : dep.candidate->snapshot());
-        ++result.policy_redeploys;
-      }
-      protecting = dep.active != nullptr;
-    }
-    if (dep.active == nullptr) {
-      continue;
-    }
-    // Spec poll: on a version change fetch the new snapshot (with retry)
-    // and swap checkers between rounds.
-    const bool active_stale =
-        store_->version_of(spec.device) != dep.active->spec_version();
-    const spec::SnapshotRef cand = candidate_snapshot();
-    const bool cand_stale =
-        (cand == nullptr) != (dep.candidate == nullptr) ||
-        (cand != nullptr && dep.candidate != nullptr &&
-         cand->version != dep.candidate->spec_version());
-    if (!active_stale && !cand_stale) {
-      continue;
-    }
-    spec::SnapshotRef next_active =
-        active_stale ? fetch_with_retry(true) : dep.active->snapshot();
-    if (next_active == nullptr) {
-      continue;  // fetch exhausted: stay on last-known-good this round
-    }
-    const bool version_changed =
-        next_active->version != dep.active->spec_version();
-    deploy(std::move(next_active), cand);
-    if (version_changed) {
-      ++result.redeploys;
-      checker::Report r;
-      r.kind = checker::Report::Kind::kRedeploy;
-      r.shard = shard_id;
-      r.value = dep.active->spec_version();
-      queue.try_push(r);  // best-effort, counted by the queue either way
-    }
+    reconcile(false);
   }
 
   result.ended_protected = dep.active != nullptr;
-  if (dep.active != nullptr) {
-    result.final_spec_version = dep.active->spec_version();
-  }
-  undeploy();
+  result.final_spec_version = built.active;
 }
 
 RunReport EnforcementService::run(const std::vector<ShardSpec>& shards) {

@@ -1,21 +1,6 @@
 #include "spec/spec_store.h"
 
-#include "common/bytes.h"
-
 namespace sedspec::spec {
-
-namespace {
-
-constexpr uint32_t kStoreMagic = 0x53535452u;  // "SSTR"
-
-LoadError fail(LoadStatus status, std::string detail) {
-  LoadError e;
-  e.status = status;
-  e.detail = std::move(detail);
-  return e;
-}
-
-}  // namespace
 
 SnapshotRef SpecStore::publish(EsCfg cfg) {
   std::lock_guard lock(mu_);
@@ -60,81 +45,6 @@ size_t SpecStore::size() const {
 uint64_t SpecStore::publish_count() const {
   std::lock_guard lock(mu_);
   return publishes_;
-}
-
-std::vector<uint8_t> SpecStore::serialize() const {
-  std::lock_guard lock(mu_);
-  return seal_envelope(
-      kStoreMagic, kStoreFormatVersion, [&](sedspec::ByteWriter& w) {
-        w.u32(static_cast<uint32_t>(specs_.size()));
-        for (const auto& [name, snap] : specs_) {
-          w.str(name);
-          w.u64(snap->version);
-          w.varbytes(spec::serialize(snap->cfg));
-        }
-      });
-}
-
-LoadError SpecStore::load(std::span<const uint8_t> bytes, SpecStore& out) {
-  std::span<const uint8_t> payload;
-  if (LoadError e = open_envelope(bytes, kStoreMagic, kStoreFormatVersion,
-                                  "spec store", payload);
-      !e.ok()) {
-    return e;
-  }
-
-  // Envelope intact: decode the entry list. ByteReader throws DecodeError
-  // on truncation/overrun; any nested spec is validated by spec::load
-  // (its own envelope + structural decode).
-  std::map<std::string, SnapshotRef> restored;
-  try {
-    sedspec::ByteReader r(payload);
-    const uint32_t count = r.u32();
-    for (uint32_t i = 0; i < count; ++i) {
-      const std::string name = r.str();
-      const uint64_t snap_version = r.u64();
-      const std::vector<uint8_t> spec_bytes = r.varbytes();
-      LoadResult nested = spec::load(spec_bytes);
-      if (!nested.ok()) {
-        LoadError e = nested.error;
-        e.detail = "spec '" + name + "': " + e.detail;
-        return e;
-      }
-      if (nested.cfg->device_name != name) {
-        return fail(LoadStatus::kMalformed,
-                    "store entry '" + name + "' wraps a spec for '" +
-                        nested.cfg->device_name + "'");
-      }
-      if (snap_version == 0 || restored.contains(name)) {
-        return fail(LoadStatus::kMalformed,
-                    "store entry '" + name + "' has " +
-                        (snap_version == 0 ? "version 0"
-                                           : "a duplicate device name"));
-      }
-      auto snap = std::make_shared<SpecSnapshot>();
-      snap->device_name = name;
-      snap->version = snap_version;
-      snap->cfg = std::move(*nested.cfg);
-      restored.emplace(name, std::move(snap));
-    }
-    if (r.remaining() != 0) {
-      return fail(LoadStatus::kMalformed,
-                  std::to_string(r.remaining()) +
-                      " trailing bytes after the last store entry");
-    }
-  } catch (const sedspec::DecodeError& e) {
-    return fail(LoadStatus::kMalformed, e.what());
-  }
-
-  std::lock_guard lock(out.mu_);
-  if (!out.specs_.empty()) {
-    return fail(LoadStatus::kMalformed,
-                "load target store is not empty");
-  }
-  out.specs_ = std::move(restored);
-  out.publishes_ = out.specs_.size();
-  LoadError ok;
-  return ok;
 }
 
 }  // namespace sedspec::spec

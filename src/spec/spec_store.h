@@ -11,17 +11,12 @@
 // at any time without coordinating with the check hot path. Shards observe
 // the new version at their next poll and swap checkers *between* rounds.
 //
-// Snapshots are versioned per device (monotonic from 1) and the whole
-// store round-trips through bytes with the same integrity-envelope
-// discipline as a single spec (magic / format version / length / CRC32,
-// see spec/serial.h): a bit-flipped or truncated store is rejected with a
-// structured LoadError, never deployed and never an abort.
+// Snapshots are versioned per device, monotonic from 1.
 #pragma once
 
 #include <map>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -39,10 +34,6 @@ struct SpecSnapshot {
 };
 
 using SnapshotRef = std::shared_ptr<const SpecSnapshot>;
-
-/// Store envelope format version (independent of the per-spec payload
-/// version, which is validated per nested spec).
-inline constexpr uint32_t kStoreFormatVersion = 1;
 
 class SpecStore {
  public:
@@ -66,18 +57,6 @@ class SpecStore {
   [[nodiscard]] size_t size() const;
   /// Total publish() calls (redeploys included) over the store's lifetime.
   [[nodiscard]] uint64_t publish_count() const;
-
-  /// Serializes every current snapshot (device name, version, spec bytes)
-  /// behind a store-level integrity envelope. Nested specs carry their own
-  /// envelopes, so corruption is attributed to the right layer on load.
-  [[nodiscard]] std::vector<uint8_t> serialize() const;
-
-  /// Restores a serialized store into `out` (which must be empty).
-  /// Validates the store envelope, then every nested spec; any defect
-  /// yields a LoadError and leaves `out` unchanged. Never throws on
-  /// corrupt input.
-  [[nodiscard]] static LoadError load(std::span<const uint8_t> bytes,
-                                      SpecStore& out);
 
  private:
   mutable std::mutex mu_;
