@@ -1,6 +1,7 @@
 #include "devices/ehci.h"
 
 #include <algorithm>
+#include <vector>
 
 #include "common/assert.h"
 
@@ -200,7 +201,7 @@ EhciDevice::EhciDevice(std::unique_ptr<Blueprint> bp,
       bp_(std::move(bp)),
       vulns_(vulns),
       dma_(mem),
-      storage_(kStorageSize, 0) {
+      storage_(kStorageSize) {
   ictx().bind_function(bp_->f_irq, [this] { irq_line().pulse(); });
   reset();
 }

@@ -31,11 +31,11 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <vector>
 
 #include "program/program.h"
 #include "vdev/device.h"
 #include "vdev/dma.h"
+#include "vdev/zero_pages.h"
 
 namespace sedspec::devices {
 
@@ -80,7 +80,7 @@ class EhciDevice final : public sedspec::Device {
       const sedspec::StateAccess& view) override;
   sedspec::DmaEngine* dma_engine() override { return &dma_; }
 
-  [[nodiscard]] std::span<uint8_t> storage() { return storage_; }
+  [[nodiscard]] std::span<uint8_t> storage() { return storage_.span(); }
 
   struct Blueprint;
   [[nodiscard]] const Blueprint& blueprint() const { return *bp_; }
@@ -102,7 +102,7 @@ class EhciDevice final : public sedspec::Device {
   std::unique_ptr<Blueprint> bp_;
   Vulns vulns_;
   sedspec::DmaEngine dma_;
-  std::vector<uint8_t> storage_;
+  sedspec::ZeroPages storage_;
 
   // Native packet lifetime state (heap objects in real QEMU; not part of
   // the control structure, hence invisible to SEDSpec — the CVE-2016-1568

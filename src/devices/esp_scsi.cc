@@ -213,7 +213,7 @@ EspScsiDevice::EspScsiDevice(std::unique_ptr<Blueprint> bp,
       bp_(std::move(bp)),
       vulns_(vulns),
       dma_(mem),
-      disk_(kDiskSize, 0) {
+      disk_(kDiskSize) {
   ictx().bind_function(bp_->f_irq, [this] { irq_line().pulse(); });
   // Canned INQUIRY payload: direct-access device, "SEDSPEC ESP DISK".
   inquiry_data_.assign(36, 0);

@@ -33,6 +33,7 @@
 #include "program/program.h"
 #include "vdev/device.h"
 #include "vdev/dma.h"
+#include "vdev/zero_pages.h"
 
 namespace sedspec::devices {
 
@@ -95,7 +96,7 @@ class EspScsiDevice final : public sedspec::Device {
       const sedspec::StateAccess& view) override;
   sedspec::DmaEngine* dma_engine() override { return &dma_; }
 
-  [[nodiscard]] std::span<uint8_t> disk() { return disk_; }
+  [[nodiscard]] std::span<uint8_t> disk() { return disk_.span(); }
 
   struct Blueprint;
   [[nodiscard]] const Blueprint& blueprint() const { return *bp_; }
@@ -116,7 +117,7 @@ class EspScsiDevice final : public sedspec::Device {
   std::unique_ptr<Blueprint> bp_;
   Vulns vulns_;
   sedspec::DmaEngine dma_;
-  std::vector<uint8_t> disk_;
+  sedspec::ZeroPages disk_;
   bool last_select_dma_ = false;
   // Pending data transfer derived from the current CDB (native bookkeeping,
   // like QEMU's async request state).

@@ -320,7 +320,7 @@ FdcDevice::FdcDevice(std::unique_ptr<Blueprint> bp, Vulns vulns)
     : Device(bp->program.get()),
       bp_(std::move(bp)),
       vulns_(vulns),
-      disk_(kDiskSize, 0) {
+      disk_(kDiskSize) {
   ictx().bind_function(bp_->f_irq, [this] { irq_line().pulse(); });
   reset();
 }

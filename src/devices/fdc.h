@@ -25,6 +25,7 @@
 
 #include "program/program.h"
 #include "vdev/device.h"
+#include "vdev/zero_pages.h"
 
 namespace sedspec::devices {
 
@@ -72,7 +73,7 @@ class FdcDevice final : public sedspec::Device {
   uint64_t io_read(const sedspec::IoAccess& io) override;
   void io_write(const sedspec::IoAccess& io) override;
 
-  [[nodiscard]] std::span<uint8_t> disk() { return disk_; }
+  [[nodiscard]] std::span<uint8_t> disk() { return disk_.span(); }
   [[nodiscard]] const Vulns& vulns() const { return vulns_; }
 
   /// Named program handles, exposed for tests and the guest driver model.
@@ -93,7 +94,7 @@ class FdcDevice final : public sedspec::Device {
 
   std::unique_ptr<Blueprint> bp_;
   Vulns vulns_;
-  std::vector<uint8_t> disk_;
+  sedspec::ZeroPages disk_;
 };
 
 /// The FDC's "compiled source": control-structure layout handles, site ids,

@@ -237,7 +237,7 @@ SdhciDevice::SdhciDevice(std::unique_ptr<Blueprint> bp, Vulns vulns)
     : Device(bp->program.get()),
       bp_(std::move(bp)),
       vulns_(vulns),
-      card_(kCardSize, 0) {
+      card_(kCardSize) {
   ictx().bind_function(bp_->f_irq, [this] { irq_line().pulse(); });
   reset();
 }

@@ -19,10 +19,10 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <vector>
 
 #include "program/program.h"
 #include "vdev/device.h"
+#include "vdev/zero_pages.h"
 
 namespace sedspec::devices {
 
@@ -76,7 +76,7 @@ class SdhciDevice final : public sedspec::Device {
   uint64_t io_read(const sedspec::IoAccess& io) override;
   void io_write(const sedspec::IoAccess& io) override;
 
-  [[nodiscard]] std::span<uint8_t> card() { return card_; }
+  [[nodiscard]] std::span<uint8_t> card() { return card_.span(); }
 
   struct Blueprint;
   [[nodiscard]] const Blueprint& blueprint() const { return *bp_; }
@@ -96,7 +96,7 @@ class SdhciDevice final : public sedspec::Device {
 
   std::unique_ptr<Blueprint> bp_;
   Vulns vulns_;
-  std::vector<uint8_t> card_;
+  sedspec::ZeroPages card_;
 };
 
 struct SdhciDevice::Blueprint {

@@ -30,9 +30,9 @@ void publish_device_specs(spec::SpecStore& store,
                           const std::vector<std::string>& devices) {
   // The training run mutates the device, so each job makes its own
   // throwaway workload, and frees it as soon as its spec is built; making it
-  // inside the job keeps its page zero-filling off the other devices'
-  // critical path. The ES-CFG is device-instance-independent and is what
-  // the store shares across shards.
+  // inside the job keeps its construction off the other devices' critical
+  // path. The ES-CFG is device-instance-independent and is what the store
+  // shares across shards.
   std::vector<spec::EsCfg> specs(devices.size());
   std::vector<std::exception_ptr> errors(devices.size());
   std::vector<std::thread> jobs;
@@ -162,8 +162,10 @@ void EnforcementService::run_shard(const ShardSpec& spec, uint32_t shard_id,
   };
   // Spec distribution with bounded retry: transient fetch failures back
   // off exponentially with jitter; exhaustion leaves the shard on its
-  // pinned last-known-good snapshot.
-  auto fetch_with_retry = [&](bool count_failure) -> spec::SnapshotRef {
+  // pinned last-known-good snapshot, version `deployed` (0 = no checker
+  // deployed, so the shard stays unprotected until the next poll).
+  auto fetch_with_retry = [&](bool count_failure,
+                              uint64_t deployed) -> spec::SnapshotRef {
     for (uint32_t attempt = 0;; ++attempt) {
       spec::SnapshotRef out;
       spec::LoadError err;
@@ -180,9 +182,11 @@ void EnforcementService::run_shard(const ShardSpec& spec, uint32_t shard_id,
           ++result.redeploy_failures;
           log_warn("enforce")
               << spec.device << "#" << shard_id
-              << ": spec fetch failed after " << attempt
-              << " retries, staying on last-known-good (" << err.describe()
-              << ")";
+              << ": spec fetch failed after " << attempt << " retries, "
+              << (deployed != 0
+                      ? "staying on last-known-good v" + std::to_string(deployed)
+                      : std::string("unprotected until the next poll"))
+              << " (" << err.describe() << ")";
         }
         return nullptr;
       }
@@ -314,7 +318,7 @@ void EnforcementService::run_shard(const ShardSpec& spec, uint32_t shard_id,
     spec::SnapshotRef active;
     if (dep.active == nullptr ||
         store_->version_of(spec.device) != built.active) {
-      active = fetch_with_retry(!first);
+      active = fetch_with_retry(!first, built.active);
     }
     if (active == nullptr && dep.active != nullptr) {
       active = dep.active->snapshot();  // last-known-good

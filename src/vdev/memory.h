@@ -1,6 +1,6 @@
 // Guest physical memory.
 //
-// A flat RAM image shared by the guest-side driver models (which place DMA
+// A flat, page-lazy RAM image (ZeroPages) shared by the guest-side driver models (which place DMA
 // descriptors and data buffers in it) and the devices (which access it
 // through the DmaEngine). Out-of-range accesses never fault the host: reads
 // return zeroes and writes are dropped, with a counter — a device given a
@@ -9,15 +9,18 @@
 
 #include <cstdint>
 #include <span>
-#include <vector>
+
+#include "vdev/zero_pages.h"
 
 namespace sedspec {
 
 class GuestMemory {
  public:
-  explicit GuestMemory(size_t size) : ram_(size, 0) {}
+  explicit GuestMemory(size_t size) : ram_(size) {}
 
   [[nodiscard]] size_t size() const { return ram_.size(); }
+  /// The RAM image itself, for inspecting which of its pages are resident.
+  [[nodiscard]] std::span<const uint8_t> bytes() const { return ram_.span(); }
 
   /// Returns false (and zero-fills `out`) if the range is out of bounds.
   bool read(uint64_t addr, std::span<uint8_t> out) const;
@@ -52,7 +55,7 @@ class GuestMemory {
     write(addr, {reinterpret_cast<const uint8_t*>(&v), sizeof(T)});
   }
 
-  std::vector<uint8_t> ram_;
+  ZeroPages ram_;
   mutable uint64_t faults_ = 0;
 };
 
